@@ -44,9 +44,9 @@ WIRE_MAX_ALLOCS_PER_SAMPLE ?= 0.01
 
 # Tracing-overhead ceilings (BenchmarkHubPush, snapshot in
 # BENCH_trace.json): the full hub pipeline — queue hop + streaming DSP —
-# measured ~870 ns/sample with no tracer attached and ~970 with
-# head-sampling at 1.0, i.e. the wave-batched span path costs ~11% on a
-# sampled request and nothing measurable otherwise. The nil-tracer
+# measured ~543 ns/sample with no tracer attached and ~585 with
+# head-sampling at 1.0 (paired medians), i.e. the per-block span path
+# costs ~8% on a sampled request and nothing measurable otherwise. The nil-tracer
 # "tracing off is free" contract is pinned exactly (0 allocs) by
 # TestNilTracerAllocFree; the ns/sample drift gate against the committed
 # snapshot is padded far above the 1% design goal because run-to-run
@@ -91,12 +91,12 @@ SERVE_MAX_REJECT_RATE ?= 0.5
 STATE_MAX_SNAPSHOT_NS ?= 250000
 STATE_MAX_BYTES_PER_SESSION ?= 131072
 
-.PHONY: check fmt vet test race conformance cluster-e2e bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen build
+.PHONY: check fmt vet test race conformance cluster-e2e perfbench bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen build
 
 # race subsumes test (same suite under the race detector), so check runs
 # the suite once, raced; conformance re-runs the SessionStore contract
 # suite on its own so a store regression is named, not buried.
-check: fmt vet race conformance cluster-e2e bench-guard bench-condition smoke-loadgen
+check: fmt vet race conformance cluster-e2e perfbench bench-guard bench-condition smoke-loadgen
 
 build:
 	$(GO) build ./...
@@ -128,6 +128,13 @@ conformance:
 # (docs/CLUSTER.md). Part of check.
 cluster-e2e:
 	$(GO) test ./internal/server -run 'TestClusterE2E' -count=1 -race -v
+
+# The benchmark program is its own module (perfbench/go.mod, replacing
+# ptrack with this checkout): vet and test it so a facade or hub change
+# that breaks the benchmark fails here, before a benchmark run does.
+# Part of check.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The alloc-ceiling tests fail if the hot path regresses: the one-shot
 # and hook-enabled paths must stay under the post-recycling ceiling

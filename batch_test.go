@@ -116,8 +116,8 @@ func TestConstructorSentinels(t *testing.T) {
 	if _, err := NewSessionHub(math.Inf(1)); !errors.Is(err, ErrInvalidSampleRate) {
 		t.Errorf("NewSessionHub error = %v, want ErrInvalidSampleRate", err)
 	}
-	if _, err := NewSessionHubFunc(math.Inf(1), nil); !errors.Is(err, ErrInvalidSampleRate) {
-		t.Errorf("NewSessionHubFunc error = %v, want ErrInvalidSampleRate", err)
+	if _, err := NewSessionHub(math.Inf(1), WithEventHook(func(string, Event) {})); !errors.Is(err, ErrInvalidSampleRate) {
+		t.Errorf("NewSessionHub with event hook error = %v, want ErrInvalidSampleRate", err)
 	}
 
 	tk, err := New()

@@ -440,9 +440,11 @@ type EventStream struct {
 	dropped atomic.Int64
 
 	// Reconnect state, owned by the run goroutine.
-	lastT    float64 // newest delivered event's cycle time, for replay dedupe
-	seen     bool    // at least one event delivered (lastT is meaningful)
-	connBase int64   // drops folded in from completed connections
+	lastT     float64 // newest delivered event's cycle time, for replay dedupe
+	lastTotal int     // newest delivered event's TotalSteps, for jump detection
+	seen      bool    // at least one event delivered (lastT is meaningful)
+	resumed   bool    // reconnected, and no event delivered on this connection yet
+	connBase  int64   // drops folded in from completed connections
 
 	mu  sync.Mutex
 	err error
@@ -465,7 +467,11 @@ func (es *EventStream) Err() error {
 func (es *EventStream) Close() { es.cancel() }
 
 // Dropped reports how many events the server has dropped from this
-// subscription so far (cumulative, from the server's gap notices). A
+// subscription so far (cumulative, from the server's gap notices). It
+// also counts at least one drop when the first event after a reconnect
+// jumps past the last delivered TotalSteps: events the server emitted
+// while no connection was attached (e.g. on a shard's new owner before
+// the client reattached) reach no subscriber and no gap notice. A
 // nonzero value means the stream is incomplete: per-event arithmetic
 // (summing StepsAdded, collecting Strides) has holes, and the consumer
 // should resync from the next event's TotalSteps, which the server
@@ -569,7 +575,7 @@ func (es *EventStream) run(ctx context.Context, body io.ReadCloser) {
 			es.fail(err)
 			return
 		}
-		body = nb
+		body, es.resumed = nb, true
 	}
 }
 
@@ -622,9 +628,17 @@ func (es *EventStream) consume(ctx context.Context, body io.Reader) (ended, sawF
 				if es.seen && ev.T <= es.lastT {
 					break // replay of an event delivered pre-reconnect
 				}
+				if es.resumed && es.seen && ev.TotalSteps-ev.StepsAdded > es.lastTotal {
+					// Unannounced steps between connections: count them
+					// as (at least) one drop, kept across this
+					// connection's cumulative gap notices via connBase.
+					es.connBase++
+					es.dropped.Add(1)
+				}
+				es.resumed = false
 				select {
 				case es.ch <- ev:
-					es.lastT, es.seen = ev.T, true
+					es.lastT, es.lastTotal, es.seen = ev.T, ev.TotalSteps, true
 				case <-ctx.Done():
 					return false, sawFrame, ctx.Err()
 				}

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -400,6 +401,62 @@ func TestEventStreamReconnects(t *testing.T) {
 	}
 	if n := conns.Load(); n != 4 {
 		t.Errorf("connections = %d, want 4", n)
+	}
+}
+
+// TestEventStreamCountsUnannouncedJump pins loss detection across a
+// reconnect: when the first event of a new connection starts past the
+// last delivered TotalSteps (events emitted while no connection was
+// attached), Dropped counts it; a contiguous reconnect counts nothing.
+func TestEventStreamCountsUnannouncedJump(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		total int // TotalSteps of the first event after the reconnect
+		jump  bool
+	}{
+		{"jump", 8, true},
+		{"contiguous", 4, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var conns atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", wire.ContentTypeSSE)
+				w.WriteHeader(http.StatusOK)
+				if conns.Add(1) == 1 {
+					// One event, then the connection ends without `end`.
+					io.WriteString(w, "event: cycle\ndata: {\"t\":1,\"label\":\"walking\",\"steps_added\":2,\"total_steps\":2,\"offset\":0.01}\n\n")
+					return
+				}
+				fmt.Fprintf(w, "event: cycle\ndata: {\"t\":2,\"label\":\"walking\",\"steps_added\":2,\"total_steps\":%d,\"offset\":0.01}\n\n", tc.total)
+				io.WriteString(w, "event: end\ndata: {}\n\n")
+			}))
+			defer srv.Close()
+
+			c, err := Dial(srv.URL, WithRetry(2, time.Millisecond, 2*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := c.Events(context.Background(), "s")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer es.Close()
+			n := 0
+			for range es.Events() {
+				n++
+			}
+			if err := es.Err(); err != nil {
+				t.Fatalf("stream error: %v", err)
+			}
+			if n != 2 {
+				t.Fatalf("received %d events, want 2", n)
+			}
+			if got := es.Dropped(); tc.jump && got < 1 {
+				t.Errorf("Dropped() = %d after an unannounced jump, want >= 1", got)
+			} else if !tc.jump && got != 0 {
+				t.Errorf("Dropped() = %d after a contiguous reconnect, want 0", got)
+			}
+		})
 	}
 }
 

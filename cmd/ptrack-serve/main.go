@@ -23,9 +23,9 @@
 // With -node and a membership (-peers or -peers-file), the server is
 // one replica of a sharded cluster: sessions are assigned to replicas
 // by a consistent-hash ring, requests for sessions owned elsewhere are
-// proxied (or 307-redirected with -forward redirect), snapshots are
-// replicated to -replicas ring owners, and SIGHUP re-reads the peers
-// file, migrating sessions to the new ring. The ring is introspectable
+// proxied to their owner, snapshots are replicated to -replicas ring
+// owners, and SIGHUP re-reads the peers file, migrating sessions to the
+// new ring. The ring is introspectable
 // at GET /v1/cluster/ring. See docs/CLUSTER.md.
 //
 // With -trace-sample > 0 (or -trace-export set), sampled requests are
@@ -91,7 +91,6 @@ func run(args []string, stdout io.Writer, ready chan string) error {
 		peersFlag   = fs.String("peers", "", "static cluster membership as name=url,name=url,… (normally includes this node)")
 		peersFile   = fs.String("peers-file", "", "file with one name=url membership entry per line (# comments); SIGHUP re-reads it and migrates sessions to the new ring")
 		replicas    = fs.Int("replicas", 0, "snapshot copies per session across the ring (0 = default 2)")
-		forward     = fs.String("forward", "proxy", "routing for sessions owned by another replica: proxy|redirect")
 		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/traces and /debug/sessions on this address")
 		traceSample = fs.Float64("trace-sample", 0, "head-sampling probability for request tracing in [0,1] (0 = trace nothing unless -trace-export is set, then errors only)")
@@ -206,7 +205,7 @@ func run(args []string, stdout io.Writer, ready chan string) error {
 			logger.Warn("this node is not in the membership; it will own no sessions", "node", *nodeName)
 		}
 		logger.Info("cluster mode", "node", *nodeName,
-			"members", len(nodes), "ring", clu.Ring().Version(), "forward", *forward)
+			"members", len(nodes), "ring", clu.Ring().Version())
 	} else if *peersFlag != "" || *peersFile != "" {
 		return fmt.Errorf("-peers/-peers-file require -node")
 	}
@@ -219,7 +218,6 @@ func run(args []string, stdout io.Writer, ready chan string) error {
 		Store:              stateStore,
 		CheckpointInterval: *checkpoint,
 		Cluster:            clu,
-		ForwardMode:        *forward,
 		MaxInFlight:        *maxInflight,
 		RatePerSec:         *rps,
 		Burst:              *burst,

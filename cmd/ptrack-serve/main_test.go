@@ -171,7 +171,6 @@ func TestClusterFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-peers", "a=http://h:1"}, // membership without -node
 		{"-node", "a"},             // -node without membership
-		{"-node", "a", "-peers", "a=http://h:1", "-forward", "sideways"}, // unknown mode
 		{"-node", "a", "-peers", "garbage"},
 	}
 	for _, args := range cases {

@@ -139,7 +139,7 @@ type session struct {
 	// The run goroutine parents its tracker.push/event.emit spans on it;
 	// ingest handlers replace it via Hub.SetSessionTrace, so a session's
 	// asynchronous work is attributed to the latest sampled request
-	// touching it — an explicit, documented approximation (queued waves
+	// touching it — an explicit, documented approximation (queued blocks
 	// from an earlier request may land under the newer trace).
 	traceCtx atomic.Pointer[tracing.SpanContext]
 
@@ -236,37 +236,8 @@ func NewHub(cfg HubConfig) (*Hub, error) {
 // It never blocks on pipeline work: when the session's queue is full the
 // sample is dropped, the drop is counted, and ErrQueueFull is returned.
 func (h *Hub) Push(id string, s trace.Sample) error {
-	h.mu.RLock()
-	sess := h.sessions[id]
-	if sess != nil {
-		// Fast path: existing session, shared lock only.
-		err := h.enqueue(sess, s)
-		h.mu.RUnlock()
-		return err
-	}
-	closed := h.closed
-	h.mu.RUnlock()
-	if closed {
-		return ErrHubClosed
-	}
-
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return ErrHubClosed
-	}
-	sess = h.sessions[id]
-	if sess == nil {
-		if h.cfg.MaxSessions > 0 && len(h.sessions) >= h.cfg.MaxSessions {
-			if !h.evictIdlestLocked() {
-				h.mu.Unlock()
-				return fmt.Errorf("%w (%d live)", ErrSessionLimit, h.cfg.MaxSessions)
-			}
-		}
-		sess = h.startSessionLocked(id)
-	}
-	err := h.enqueue(sess, s)
-	h.mu.Unlock()
+	one := [1]trace.Sample{s}
+	_, err := h.PushBlock(id, one[:])
 	return err
 }
 
@@ -314,22 +285,10 @@ func (h *Hub) PushBlock(id string, samples []trace.Sample) (int, error) {
 	return n, err
 }
 
-// enqueue performs the non-blocking queue send. Callers hold the hub
-// lock (read or write), which is what makes the send race-free against
+// enqueueBlock performs the non-blocking queue sends: one touch, then
+// in-order sends until the queue rejects. Callers hold the hub lock
+// (read or write), which is what makes the sends race-free against
 // Close/evict closing the channel: closers hold the write lock.
-func (h *Hub) enqueue(sess *session, s trace.Sample) error {
-	sess.touch(h.cfg.now())
-	select {
-	case sess.ch <- s:
-		return nil
-	default:
-		h.cfg.Hooks.SessionSamplesDropped(1)
-		return fmt.Errorf("%w: session %q", ErrQueueFull, sess.id)
-	}
-}
-
-// enqueueBlock is enqueue for a block: one touch, then in-order sends
-// until the queue rejects. Callers hold the hub lock.
 func (h *Hub) enqueueBlock(sess *session, samples []trace.Sample) (int, error) {
 	sess.touch(h.cfg.now())
 	for i, s := range samples {
@@ -358,14 +317,6 @@ func (h *Hub) startSessionLocked(id string) *session {
 	go h.run(sess)
 	return sess
 }
-
-// waveMaxSamples bounds how many samples a single tracker.push span may
-// cover. Per-sample spans would drown a trace (a one-second request
-// carries ~50 samples), so the run loop batches a sampled session's
-// pushes into "waves" and flushes a wave's span when it produces events
-// or reaches this size — the span's duration is then the wave's true
-// wall time and the trace stays a readable handful of spans.
-const waveMaxSamples = 64
 
 // run drains one session until its queue is closed, then flushes.
 func (h *Hub) run(sess *session) {
@@ -424,150 +375,113 @@ func (h *Hub) run(sess *session) {
 	}
 
 	// deliver fans events out to the configured callback, minting one
-	// event.emit span per event when the wave is traced.
+	// event.emit span per event under a sampled tracker.push parent.
 	deliver := func(evs []stream.Event, parent tracing.SpanContext) {
 		if len(evs) == 0 {
 			return
 		}
 		sess.events.Add(int64(len(evs)))
 		for _, ev := range evs {
-			var sc tracing.SpanContext
-			if parent.IsValid() && parent.Sampled() {
-				span := tracer.StartAt(parent, "event.emit", time.Time{})
-				span.SetKind(tracing.KindProducer)
-				span.SetAttributes(
-					tracing.Str("session", sess.id),
-					tracing.Str("event.label", ev.Label.String()),
-					tracing.Int("event.steps_added", int64(ev.StepsAdded)),
-					tracing.Int("event.total_steps", int64(ev.TotalSteps)),
-				)
-				sc = span.Context()
-				h.dispatch(sess.id, ev, sc)
-				span.End()
+			if !parent.Sampled() {
+				h.dispatch(sess.id, ev, tracing.SpanContext{})
 				continue
 			}
-			h.dispatch(sess.id, ev, sc)
+			span := tracer.StartAt(parent, "event.emit", time.Time{})
+			span.SetKind(tracing.KindProducer)
+			span.SetAttributes(
+				tracing.Str("session", sess.id),
+				tracing.Str("event.label", ev.Label.String()),
+				tracing.Int("event.steps_added", int64(ev.StepsAdded)),
+				tracing.Int("event.total_steps", int64(ev.TotalSteps)),
+			)
+			h.dispatch(sess.id, ev, span.Context())
+			span.End()
 		}
 	}
 
-	// Wave state: a run of consecutive samples processed under one
-	// sampled trace context, flushed into a single tracker.push span.
-	var (
-		waveSC      tracing.SpanContext
-		waveStart   time.Time
-		waveSamples int
-		waveCond    time.Duration
-	)
-	// flushWave ends the open wave's tracker.push span (plus its
-	// synthesized condition child) and returns the push span's context
-	// so the wave's events parent under it.
-	flushWave := func() tracing.SpanContext {
-		if waveSamples == 0 {
+	// startPush opens a tracker.push span around one tracker call when
+	// the session's governing trace is sampled (nil otherwise); endPush
+	// ends it under a "condition" child carrying the conditioner time
+	// measured since cond0, and returns the context its events parent on.
+	startPush := func(samples int) *tracing.Span {
+		scp := sess.traceCtx.Load()
+		if tracer == nil || scp == nil || !scp.Sampled() {
+			return nil
+		}
+		span := tracer.StartAt(*scp, "tracker.push", time.Time{})
+		span.SetKind(tracing.KindConsumer)
+		span.SetAttributes(tracing.Str("session", sess.id), tracing.Int("samples", int64(samples)))
+		return span
+	}
+	endPush := func(span *tracing.Span, cond0 time.Duration) tracing.SpanContext {
+		if span == nil {
 			return tracing.SpanContext{}
 		}
-		span := tracer.StartAt(waveSC, "tracker.push", waveStart)
-		span.SetKind(tracing.KindConsumer)
-		span.SetAttributes(
-			tracing.Str("session", sess.id),
-			tracing.Int("samples", int64(waveSamples)),
-		)
-		if waveCond > 0 {
-			// The conditioner's share of the wave, honest in duration,
-			// synthesized in placement (it ran interleaved with the DSP).
-			cond := tracer.StartAt(span.Context(), "condition", waveStart)
+		if d := tk.ConditionTime() - cond0; d > 0 {
+			start := span.StartTime()
+			cond := tracer.StartAt(span.Context(), "condition", start)
 			cond.SetAttributes(tracing.Str("session", sess.id))
-			cond.EndAt(waveStart.Add(waveCond))
+			cond.EndAt(start.Add(d))
 		}
-		sc := span.Context()
 		span.End()
-		waveSamples, waveCond = 0, 0
-		return sc
+		return span.Context()
 	}
 
-	// Block scratch for the untraced fast path: the run loop greedily
-	// drains whatever is buffered in the queue (up to one wire frame's
-	// worth) and hands it to PushBlock in one call, amortizing the
-	// tracker's per-push bookkeeping across the backlog. Both slices are
-	// reused for the session's lifetime; events are delivered before the
-	// next block overwrites the buffer.
+	// The run loop greedily drains whatever is buffered in the queue (up
+	// to one wire frame's worth) and hands it to PushBlock in one call,
+	// amortizing the tracker's per-push bookkeeping across the backlog.
+	// Both slices are reused for the session's lifetime; events are
+	// delivered before the next block overwrites the buffer.
 	block := make([]trace.Sample, 0, stream.BlockSamples)
-	var blockEvs []stream.Event
+	var evs []stream.Event
 	condEvery := 0
-drain:
-	for {
-		var s trace.Sample
+	for open := true; open; {
 		select {
-		case smp, ok := <-sess.ch:
+		case s, ok := <-sess.ch:
 			if !ok {
-				break drain
+				open = false
+				continue
 			}
-			s = smp
+			block = append(block[:0], s)
 		case <-tickC:
-			// Periodic checkpoint, between samples (the run goroutine owns
+			// Periodic checkpoint, between blocks (the run goroutine owns
 			// the tracker, so this is the required sample boundary).
 			checkpoint()
 			continue
 		}
-		scp := sess.traceCtx.Load()
-		traced := tracer != nil && scp != nil && scp.Sampled()
-		var evs []stream.Event
-		pushed := 1
-		chClosed := false
-		if traced {
-			// Traced sessions keep the per-sample path: waves need the
-			// conditioner share per push and per-sample span accounting.
-			if waveSamples == 0 {
-				waveSC, waveStart = *scp, time.Now()
-			}
-			var condD time.Duration
-			evs, condD = tk.PushTimed(s)
-			waveCond += condD
-			waveSamples++
-		} else {
-			flushWave()
-			block = append(block[:0], s)
-			for len(block) < stream.BlockSamples {
-				select {
-				case smp, ok := <-sess.ch:
-					if !ok {
-						chClosed = true
-					} else {
-						block = append(block, smp)
-						continue
-					}
-				default:
+	gather:
+		for len(block) < stream.BlockSamples {
+			select {
+			case s, ok := <-sess.ch:
+				if !ok {
+					open = false
+					break gather
 				}
-				break
+				block = append(block, s)
+			default:
+				break gather
 			}
-			blockEvs = tk.PushBlock(block, blockEvs[:0])
-			evs = blockEvs
-			pushed = len(block)
 		}
-		sess.samplesIn.Add(int64(pushed))
+
+		span, cond0 := startPush(len(block)), tk.ConditionTime()
+		evs = tk.PushBlock(block, evs[:0])
+		parent := endPush(span, cond0)
+		sess.samplesIn.Add(int64(len(block)))
 		sess.steps.Store(int64(tk.Steps()))
-		sinceCkpt += pushed
-		if condEvery += pushed; condEvery >= 32 {
+		sinceCkpt += len(block)
+		if condEvery += len(block); condEvery >= 32 {
 			condEvery = 0
 			sess.storeCondReport(tk.ConditionReport())
 		}
-		if traced && (len(evs) > 0 || waveSamples >= waveMaxSamples) {
-			deliver(evs, flushWave())
-		} else {
-			deliver(evs, tracing.SpanContext{})
-		}
-		if chClosed {
-			break drain
-		}
+		deliver(evs, parent)
 	}
-	flushWave()
-	finEvs := tk.Flush()
+	// The final flush is traced like a block of zero samples.
+	span := startPush(0)
+	evs = tk.Flush()
+	parent := endPush(span, tk.ConditionTime())
 	sess.steps.Store(int64(tk.Steps()))
 	sess.storeCondReport(tk.ConditionReport())
-	var finSC tracing.SpanContext
-	if scp := sess.traceCtx.Load(); tracer != nil && scp != nil {
-		finSC = *scp
-	}
-	deliver(finEvs, finSC)
+	deliver(evs, parent)
 	if h.cfg.Store != nil {
 		if sess.terminal.Load() {
 			// The caller declared the stream over: durable state for the
@@ -707,7 +621,8 @@ func (h *Hub) Len() int {
 }
 
 // SetSessionTrace records sc as the trace context governing the
-// session's asynchronous pipeline work (tracker waves, event emission).
+// session's asynchronous pipeline work (tracker.push blocks, event
+// emission).
 // The serving layer calls it once per sampled ingest request, after the
 // request's first accepted push; later sampled requests replace it.
 // Unknown sessions and invalid contexts are no-ops.

@@ -11,7 +11,7 @@ import (
 
 // benchHubPush streams a 60 s walking trace through one hub session and
 // waits for the drain, so ns/sample covers the full asynchronous
-// pipeline: queue hop, tracker DSP, and (when traced) the wave-batched
+// pipeline: queue hop, tracker DSP, and (when traced) the per-block
 // span bookkeeping. The queue is sized past the trace so the pusher
 // never spins on a full queue.
 func benchHubPush(b *testing.B, hooks *obs.Hooks, sc tracing.SpanContext) {
@@ -50,7 +50,7 @@ func benchHubPush(b *testing.B, hooks *obs.Hooks, sc tracing.SpanContext) {
 // BenchmarkHubPush is the tracing-overhead guard (see make bench-guard):
 // "off" is the production default — no tracer attached — and must track
 // the raw streaming front end (BENCH_stream.json) within the queue-hop
-// allowance; "sampled" pays for span creation on every wave and event
+// allowance; "sampled" pays for span creation on every block and event
 // and is gated by BENCH_trace.json's ceiling.
 func BenchmarkHubPush(b *testing.B) {
 	b.Run("off", func(b *testing.B) {

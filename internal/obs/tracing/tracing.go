@@ -257,7 +257,7 @@ func (s *Span) End() { s.EndAt(time.Time{}) }
 
 // EndAt finishes the span at the given time (zero means now). It exists
 // for synthesized spans whose interval was measured externally — e.g.
-// the conditioner's share of a tracker wave.
+// the conditioner's measured share of a tracker.push block.
 func (s *Span) EndAt(at time.Time) {
 	if s == nil {
 		return

@@ -12,43 +12,22 @@ import (
 	"ptrack/internal/wire"
 )
 
-// Forward modes: how a replica answers a request for a session whose
-// ring owner is another node.
-const (
-	// ForwardProxy relays the request server-side and streams the
-	// owner's response back — clients never learn the topology. The
-	// default.
-	ForwardProxy = "proxy"
-	// ForwardRedirect answers 307 with a Location on the owner and a
-	// Shard-Owner header — cheaper per request, but requires clients
-	// that follow redirects (the Go client does).
-	ForwardRedirect = "redirect"
-)
-
 const (
 	// headerForwarded marks a proxied request with the relaying node's
 	// name. Its presence stops a second hop: if two replicas disagree
 	// about ownership mid-ring-change, the request is served where it
-	// lands instead of ping-ponging.
+	// lands instead of ping-ponging (or, for an event subscription on a
+	// non-owner, refused; see handleEvents).
 	headerForwarded = "X-Ptrack-Forwarded"
-	// headerShardOwner names the owning replica's base URL on redirects
-	// and proxied responses, so clients and operators can see routing.
+	// headerShardOwner names the owning replica's base URL on proxied
+	// responses, so clients and operators can see routing.
 	headerShardOwner = "Shard-Owner"
 )
 
-func validForwardMode(mode string) error {
-	switch mode {
-	case ForwardProxy, ForwardRedirect:
-		return nil
-	}
-	return fmt.Errorf("server: unknown forward mode %q (want %q or %q)", mode, ForwardProxy, ForwardRedirect)
-}
-
 // routeAway checks session ownership and, when the session belongs to
-// another replica, routes the request there (proxy or redirect per
-// ForwardMode), reporting true so the handler stops. Requests that
-// already crossed one hop are served locally — a disagreeing pair of
-// rings must not loop a request forever.
+// another replica, proxies the request there, reporting true so the
+// handler stops. Requests that already crossed one hop stay local — a
+// disagreeing pair of rings must not loop a request forever.
 func (s *Server) routeAway(w http.ResponseWriter, r *http.Request, id string) bool {
 	c := s.cfg.Cluster
 	if c == nil {
@@ -57,13 +36,6 @@ func (s *Server) routeAway(w http.ResponseWriter, r *http.Request, id string) bo
 	owner, selfOwned := c.Owner(id)
 	if selfOwned || r.Header.Get(headerForwarded) != "" {
 		return false
-	}
-	if s.cfg.ForwardMode == ForwardRedirect {
-		w.Header().Set(headerShardOwner, owner.URL)
-		w.Header().Set("Location", owner.URL+r.URL.RequestURI())
-		writeError(w, http.StatusTemporaryRedirect, wire.CodeShardMoved,
-			fmt.Sprintf("session owned by replica %q", owner.Name), 0, -1)
-		return true
 	}
 	s.proxy(w, r, owner)
 	return true
@@ -128,7 +100,6 @@ type ringInfo struct {
 	Self     string         `json:"self"`
 	Version  string         `json:"version"`
 	Replicas int            `json:"replicas"`
-	Forward  string         `json:"forward"`
 	Nodes    []cluster.Node `json:"nodes"`
 }
 
@@ -144,7 +115,6 @@ func (s *Server) ringInfo() ringInfo {
 		Self:     c.Self(),
 		Version:  ring.Version(),
 		Replicas: c.Replicas(),
-		Forward:  s.cfg.ForwardMode,
 		Nodes:    ring.Nodes(),
 	}
 }

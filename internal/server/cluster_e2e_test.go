@@ -36,7 +36,7 @@ type replica struct {
 // startReplica boots one cluster member with an empty ring (it owns
 // everything until a membership is installed — the bootstrap order for
 // ephemeral ports, which are unknown before Start).
-func startReplica(t *testing.T, name string, sampleRate float64, mode string, interval time.Duration) *replica {
+func startReplica(t *testing.T, name string, sampleRate float64, interval time.Duration) *replica {
 	t.Helper()
 	cl, err := cluster.New(cluster.Config{Self: name})
 	if err != nil {
@@ -46,16 +46,15 @@ func startReplica(t *testing.T, name string, sampleRate float64, mode string, in
 	srv, base := startServer(t, server.Config{
 		SampleRate:         sampleRate,
 		Cluster:            cl,
-		ForwardMode:        mode,
 		CheckpointInterval: interval,
 		Hooks:              obs.NewHooks(reg),
 	})
 	return &replica{name: name, srv: srv, cl: cl, base: base, reg: reg}
 }
 
-// activeStreams reads a replica's attached-SSE-subscriber gauge. In
-// proxy mode subscriptions terminate at the session's owner, so the
-// gauge tells which replica actually holds a client's stream.
+// activeStreams reads a replica's attached-SSE-subscriber gauge.
+// Proxied subscriptions terminate at the session's owner, so the gauge
+// tells which replica actually holds a client's stream.
 func activeStreams(r *replica) float64 {
 	return r.reg.Gauge("ptrack_http_event_streams_active",
 		"SSE event streams currently attached to the serving layer.").Value()
@@ -152,19 +151,20 @@ func checkLedger(t *testing.T, evs []ptrack.Event) {
 }
 
 // TestClusterE2ERingChangeMigratesSession is the migration bar: a
-// session streams into a 3-replica ring (redirect routing), the ring
-// shrinks to exclude the session's owner, and the stream continues on
-// the new owner with a monotonic ledger — the snapshot handoff, the
-// `moved` SSE notice and the client's reconnect all composing.
+// session streams into a 3-replica ring through a non-owner entry
+// replica (proxy routing), the ring shrinks to exclude the session's
+// owner, and the stream continues on the new owner with a monotonic
+// ledger — the snapshot handoff, the `moved` SSE notice and the
+// client's reconnect all composing.
 func TestClusterE2ERingChangeMigratesSession(t *testing.T) {
 	tr := walkingTrace(t, 30)
 	cut := len(tr.Samples) / 2
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	a := startReplica(t, "a", tr.SampleRate, server.ForwardRedirect, 50*time.Millisecond)
-	b := startReplica(t, "b", tr.SampleRate, server.ForwardRedirect, 50*time.Millisecond)
-	c := startReplica(t, "c", tr.SampleRate, server.ForwardRedirect, 50*time.Millisecond)
+	a := startReplica(t, "a", tr.SampleRate, 50*time.Millisecond)
+	b := startReplica(t, "b", tr.SampleRate, 50*time.Millisecond)
+	c := startReplica(t, "c", tr.SampleRate, 50*time.Millisecond)
 	reps := []*replica{a, b, c}
 
 	nodes := membership(a, b, c)
@@ -208,8 +208,23 @@ func TestClusterE2ERingChangeMigratesSession(t *testing.T) {
 	postRing(t, b.base, shrunk)
 	postRing(t, a.base, shrunk)
 	postRing(t, c.base, shrunk)
-	if owner, _ := a.cl.Owner(id); owner.Name == "b" {
+	owner, _ := a.cl.Owner(id)
+	if owner.Name == "b" {
 		t.Fatalf("session still owned by departed replica")
+	}
+
+	// Wait for the client's SSE stream, ended by `moved`, to reattach on
+	// the new owner before pushing again: events emitted with no
+	// subscriber attached are not buffered for it.
+	newOwner := a
+	if owner.Name == "c" {
+		newOwner = c
+	}
+	for start := time.Now(); activeStreams(newOwner) < 1; {
+		if time.Since(start) > 30*time.Second {
+			t.Fatal("client event stream never reattached on the new owner")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// The stream must continue on the new owner: same client, same
@@ -268,9 +283,9 @@ func TestClusterE2EReplicaKillFailsOver(t *testing.T) {
 
 	// Tight checkpoints: the crash loses at most a few milliseconds of
 	// progress, and the quiesce below makes that window empty.
-	a := startReplica(t, "a", tr.SampleRate, server.ForwardProxy, 5*time.Millisecond)
-	b := startReplica(t, "b", tr.SampleRate, server.ForwardProxy, 5*time.Millisecond)
-	c := startReplica(t, "c", tr.SampleRate, server.ForwardProxy, 5*time.Millisecond)
+	a := startReplica(t, "a", tr.SampleRate, 5*time.Millisecond)
+	b := startReplica(t, "b", tr.SampleRate, 5*time.Millisecond)
+	c := startReplica(t, "c", tr.SampleRate, 5*time.Millisecond)
 	reps := []*replica{a, b, c}
 	nodes := membership(a, b, c)
 	for _, r := range reps {
@@ -369,5 +384,49 @@ func TestClusterE2EReplicaKillFailsOver(t *testing.T) {
 	checkLedger(t, evs)
 	if es.Dropped() != 0 {
 		t.Fatalf("Dropped() = %d, want 0 (no silent loss across failover)", es.Dropped())
+	}
+}
+
+// TestClusterE2EForwardedEventsRefusedOnNonOwner pins the ring-disagreement
+// rule for subscriptions: a forwarded GET …/events that lands on a
+// replica whose ring names another owner is refused with 503 +
+// Retry-After and code shard_moved, never parked on a session the
+// replica will not host.
+func TestClusterE2EForwardedEventsRefusedOnNonOwner(t *testing.T) {
+	a := startReplica(t, "a", 100, time.Second)
+	b := startReplica(t, "b", 100, time.Second)
+	// a routes by {a, b}; b has not yet learned that it joined.
+	if err := a.srv.SetRing(membership(a, b)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.srv.SetRing(membership(a)); err != nil {
+		t.Fatal(err)
+	}
+	id := sessionOwnedBy(t, a.cl.Ring(), "b")
+
+	// The timeout bounds a regression that parks the stream instead.
+	hc := &http.Client{Timeout: 10 * time.Second}
+	resp, err := hc.Get(a.base + "/v1/sessions/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("forwarded subscription on non-owner: status %d, want 503", resp.StatusCode)
+	}
+	var body struct {
+		Code string `json:"code"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Code != "shard_moved" {
+		t.Errorf("error code = %q, want shard_moved", body.Code)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
+	}
+	if n := activeStreams(b); n != 0 {
+		t.Errorf("non-owner holds %v event streams, want 0", n)
 	}
 }

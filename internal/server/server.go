@@ -85,17 +85,12 @@ type Config struct {
 	CheckpointInterval time.Duration
 
 	// Cluster, when set, makes this server one replica of a sharded
-	// deployment: session requests are routed to their ring owner
-	// (proxied or redirected per ForwardMode), the local store is
-	// served to peers at /v1/state, the ring is introspectable and
-	// swappable at /v1/cluster/ring, and a ring change migrates live
-	// sessions to their new owners via snapshot handoff. See
-	// docs/CLUSTER.md.
+	// deployment: session requests are proxied to their ring owner,
+	// the local store is served to peers at /v1/state, the ring is
+	// introspectable and swappable at /v1/cluster/ring, and a ring
+	// change migrates live sessions to their new owners via snapshot
+	// handoff. See docs/CLUSTER.md.
 	Cluster *cluster.Cluster
-	// ForwardMode selects how requests for sessions owned elsewhere are
-	// routed: ForwardProxy (default) relays them server-side,
-	// ForwardRedirect answers 307 with a Shard-Owner header.
-	ForwardMode string
 
 	// MaxInFlight bounds concurrently admitted ingestion requests
 	// (sample pushes and batch runs); excess requests get 429 +
@@ -142,9 +137,6 @@ func (c Config) withDefaults() Config {
 	if c.Version == "" {
 		c.Version = buildinfo.String("ptrack-serve")
 	}
-	if c.ForwardMode == "" {
-		c.ForwardMode = ForwardProxy
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
 	}
@@ -168,7 +160,7 @@ type Server struct {
 
 	// Cluster mode only: the replica's local snapshot store (what
 	// /v1/state serves), the ring-routed wrapper the hub checkpoints
-	// through, and the redirect-free client carrying proxied requests.
+	// through, and the client carrying proxied requests.
 	localStore   ptrack.SessionStore
 	clusterStore ptrack.SessionStore
 	proxyClient  *http.Client
@@ -201,9 +193,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	hubStore := cfg.Store
 	if cfg.Cluster != nil {
-		if err := validForwardMode(cfg.ForwardMode); err != nil {
-			return nil, err
-		}
 		s.localStore = cfg.Store
 		if s.localStore == nil {
 			// Migration and failover need somewhere to park snapshots
@@ -212,15 +201,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.clusterStore = cfg.Cluster.Store(s.localStore)
 		hubStore = s.clusterStore
-		s.proxyClient = &http.Client{
-			// No overall timeout: proxied SSE streams are long-lived.
-			// Cancellation comes from the inbound request's context; no
-			// redirect following — a 307 from the owner goes back to
-			// the client that can replay the body.
-			CheckRedirect: func(*http.Request, []*http.Request) error {
-				return http.ErrUseLastResponse
-			},
-		}
+		// No overall timeout: proxied SSE streams are long-lived, and
+		// cancellation comes from the inbound request's context.
+		s.proxyClient = &http.Client{}
 	}
 	hubOpts := append(append([]ptrack.Option(nil), opts...),
 		ptrack.WithSessionEndHook(s.broker.endSession),
@@ -684,6 +667,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.routeAway(w, r, id) {
 		return
+	}
+	if c := s.cfg.Cluster; c != nil {
+		if owner, selfOwned := c.Owner(id); !selfOwned {
+			// A forwarded subscription landed on a non-owner: the rings
+			// disagree mid-change. Serving it here would park the stream
+			// on a session this replica will never host, so refuse it and
+			// let the client retry once the rings agree.
+			s.reject(w, r, http.StatusServiceUnavailable, wire.CodeShardMoved,
+				fmt.Sprintf("session owned by replica %q", owner.Name), time.Second)
+			return
+		}
 	}
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {

@@ -168,13 +168,17 @@ type Tracker struct {
 	evBuf   []Event
 	one     [1]trace.Sample
 	condRun []trace.Sample
+
+	// condTime is the wall time PushBlock has spent inside the
+	// conditioner (see ConditionTime); diagnostic, never snapshotted.
+	condTime time.Duration
 }
 
 // BlockSamples is the natural block size for PushBlock: it matches the
 // wire layer's PTB1 framing (wire.BinaryFrameSize bytes encode one
-// sample; bodies are sent in 64-frame batches) and the hub's 64-sample
-// trace-span waves, so a decoded network chunk flows through the tracker
-// as one block. PushBlock accepts any length; this is the size the rest
+// sample; bodies are sent in 64-frame batches) and the hub's drain
+// blocks, so a decoded network chunk flows through the tracker as one
+// block. PushBlock accepts any length; this is the size the rest
 // of the system produces.
 const BlockSamples = 64
 
@@ -307,8 +311,11 @@ func (t *Tracker) PushBlock(samples []trace.Sample, events []Event) []Event {
 	// Conditioned path: commit decisions happen per raw sample inside the
 	// streamer (identically to Push), but the released samples are
 	// re-blocked between splits and flow through the same block kernel.
+	start := time.Now()
+	outs := t.cond.PushBlock(samples)
+	t.condTime += time.Since(start)
 	run := t.condRun[:0]
-	for _, o := range t.cond.PushBlock(samples) {
+	for _, o := range outs {
 		if o.Split {
 			events = t.pushCleanBlock(events, run)
 			run = run[:0]
@@ -319,38 +326,6 @@ func (t *Tracker) PushBlock(samples []trace.Sample, events []Event) []Event {
 	events = t.pushCleanBlock(events, run)
 	t.condRun = run[:0]
 	return events
-}
-
-// PushTimed is Push plus a measurement of the time spent inside the
-// input conditioner (0 with conditioning disabled). The session hub
-// calls it instead of Push only when the session belongs to a sampled
-// trace, so the clock readings never touch the untraced hot path; the
-// measurement becomes the synthesized "condition" child span. The
-// returned slice follows Push's ownership rule.
-func (t *Tracker) PushTimed(s trace.Sample) ([]Event, time.Duration) {
-	if t.cond == nil {
-		evs := t.pushAppend(t.evBuf[:0], s)
-		t.evBuf = evs
-		if len(evs) == 0 {
-			return nil, 0
-		}
-		return evs, 0
-	}
-	start := time.Now()
-	outs := t.cond.Push(s)
-	condTime := time.Since(start)
-	evs := t.evBuf[:0]
-	for _, o := range outs {
-		if o.Split {
-			evs = t.splitResetInto(evs)
-		}
-		evs = t.pushAppend(evs, o.Sample)
-	}
-	t.evBuf = evs
-	if len(evs) == 0 {
-		return nil, condTime
-	}
-	return evs, condTime
 }
 
 // pushAppend consumes one conditioned (or trusted-clean) sample,
@@ -475,6 +450,13 @@ func (t *Tracker) Flush() []Event {
 	}
 	return evs
 }
+
+// ConditionTime returns the cumulative wall time PushBlock has spent
+// inside the input conditioner (0 with conditioning disabled). The
+// session hub reads its delta across a traced block to give the block's
+// tracker.push span a measured "condition" child; the two clock reads
+// per block are paid only by conditioned trackers.
+func (t *Tracker) ConditionTime() time.Duration { return t.condTime }
 
 // ConditionReport returns the live defect report of the input
 // conditioner, or nil when Config.Condition is unset. Counts reflect

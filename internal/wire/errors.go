@@ -45,9 +45,9 @@ const (
 	// cluster state endpoint) does not exist. Distinguishes a genuine
 	// miss from a store outage, which reports CodeInternal.
 	CodeNotFound = "not_found"
-	// CodeShardMoved: the request addressed a session owned by another
-	// replica and the server is configured to redirect rather than
-	// proxy; the Shard-Owner header and Location carry the owner.
+	// CodeShardMoved: a forwarded request reached a replica that does
+	// not own the session (the replicas' rings disagree mid-change);
+	// retry after Retry-After, once the rings agree.
 	CodeShardMoved = "shard_moved"
 	// CodeInternal: a server-side failure unrelated to the request.
 	CodeInternal = "internal"

@@ -56,18 +56,6 @@ func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 	return &SessionHub{hub: hub}, nil
 }
 
-// NewSessionHubFunc builds a hub with a positional event callback.
-//
-// Deprecated: this is the pre-redesign NewSessionHub signature, kept
-// for one release as a thin wrapper. Use NewSessionHub with
-// WithEventHook(onEvent) instead.
-func NewSessionHubFunc(sampleRate float64, onEvent func(session string, ev Event), opts ...Option) (*SessionHub, error) {
-	if onEvent != nil {
-		opts = append(append([]Option(nil), opts...), WithEventHook(onEvent))
-	}
-	return NewSessionHub(sampleRate, opts...)
-}
-
 // Push routes one sample to the given session, creating the session on
 // first use. It never blocks on pipeline work: a full session queue
 // drops the sample and returns an error wrapping ErrSessionQueueFull.
@@ -109,7 +97,7 @@ func (h *SessionHub) Evict(session string) bool { return h.hub.Evict(session) }
 func (h *SessionHub) ActiveSessions() int { return h.hub.Len() }
 
 // SetTrace attributes the session's asynchronous pipeline work
-// (tracker waves, event emission) to the given sampled span context —
+// (tracker.push blocks, event emission) to the given sampled span context —
 // typically the server-side ingest span of the request that pushed the
 // session's samples. Later calls replace the context; unknown sessions
 // and invalid contexts are no-ops. See docs/TRACING.md.

@@ -84,27 +84,27 @@ func TestSessionHubDurableAcrossRecycle(t *testing.T) {
 	}
 }
 
-// TestSessionHubFuncWrapper pins the deprecated positional signature to
-// the behaviour of the redesigned constructor.
-func TestSessionHubFuncWrapper(t *testing.T) {
+// TestSessionHubEventHook pins WithEventHook: the hook receives every
+// session's events.
+func TestSessionHubEventHook(t *testing.T) {
 	tr := walkingTraces(t, 1, 20)[0]
 	var mu sync.Mutex
 	steps := 0
-	hub, err := NewSessionHubFunc(tr.SampleRate, func(session string, ev Event) {
+	hub, err := NewSessionHub(tr.SampleRate, WithEventHook(func(session string, ev Event) {
 		mu.Lock()
 		steps += ev.StepsAdded
 		mu.Unlock()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range tr.Samples {
-		pushRetry(t, hub, "legacy", s)
+		pushRetry(t, hub, "hooked", s)
 	}
 	hub.Close()
 	mu.Lock()
 	defer mu.Unlock()
 	if steps == 0 {
-		t.Fatal("deprecated wrapper delivered no events")
+		t.Fatal("event hook delivered no events")
 	}
 }
