@@ -91,12 +91,52 @@ SERVE_MAX_REJECT_RATE ?= 0.5
 STATE_MAX_SNAPSHOT_NS ?= 250000
 STATE_MAX_BYTES_PER_SESSION ?= 131072
 
-.PHONY: check fmt vet test race conformance cluster-e2e perfbench bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen build
+# Paper-accuracy pins (BENCH_accuracy.json): the headline numbers of
+# Figs. 6-8 and the degrade sweep at the default eval.Options, reported
+# by internal/eval's BenchmarkAccuracy. Every experiment is seeded, so
+# each figure is pinned exactly at its printed precision (-min and -max
+# at the same value, and -require so none can vanish): a refactor that
+# moves any of them fails here and must explain the move, rather than
+# slipping past the loose floors of the eval shape tests.
+ACCURACY_PINS := \
+	6a-mixed-acc=0.9759 \
+	6a-stepping-acc=0.9868 \
+	6a-walking-acc=0.9868 \
+	6b-mixed-interference-pct=0.5682 \
+	6b-mixed-stepping-pct=48.86 \
+	6b-mixed-walking-pct=50.57 \
+	6b-stepping-interference-pct=0 \
+	6b-stepping-stepping-pct=100.0 \
+	6b-stepping-walking-pct=0 \
+	6b-walking-interference-pct=0 \
+	6b-walking-stepping-pct=0 \
+	6b-walking-walking-pct=100.0 \
+	7a-eating-steps=0 \
+	7a-gaming-steps=0 \
+	7a-photo-steps=0 \
+	7a-poker-steps=0 \
+	7b-spoof-steps=0 \
+	8a-ptrack-mean-m=0.03288 \
+	8a-ptrack-median-m=0.02805 \
+	8a-ptrack-p90-m=0.06800 \
+	8b-auto-mean-m=0.02581 \
+	8b-auto-median-m=0.02529 \
+	8b-auto-p90-m=0.04511 \
+	8b-manual-mean-m=0.02093 \
+	8b-manual-median-m=0.01934 \
+	8b-manual-p90-m=0.04305 \
+	degrade-0-cond-err-pct=1.317 \
+	degrade-0.25-cond-err-pct=6.936 \
+	degrade-0.5-cond-err-pct=13.03 \
+	degrade-0.75-cond-err-pct=17.16 \
+	degrade-1-cond-err-pct=21.55
+
+.PHONY: check fmt vet test race conformance cluster-e2e perfbench bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen bench-accuracy build
 
 # race subsumes test (same suite under the race detector), so check runs
 # the suite once, raced; conformance re-runs the SessionStore contract
 # suite on its own so a store regression is named, not buried.
-check: fmt vet race conformance cluster-e2e perfbench bench-guard bench-condition smoke-loadgen
+check: fmt vet race conformance cluster-e2e perfbench bench-accuracy bench-guard bench-condition smoke-loadgen
 
 build:
 	$(GO) build ./...
@@ -175,6 +215,14 @@ bench-guard:
 		-max bytes/session=$(STATE_MAX_BYTES_PER_SESSION)
 	$(MAKE) bench-mem
 	$(MAKE) bench-serve
+
+# The paper's accuracy, pinned: seeded and deterministic, so it is a
+# correctness gate (part of check and of the required CI job), not a
+# noise-bound performance ceiling.
+bench-accuracy:
+	$(GO) test ./internal/eval -run NONE -bench 'BenchmarkAccuracy$$' -benchtime 1x \
+		| $(GO) run ./cmd/benchjson -out BENCH_accuracy.json \
+		$(foreach p,$(ACCURACY_PINS),-require $(firstword $(subst =, ,$(p))) -min $(p) -max $(p))
 
 # Memory-footprint budget: bytes per idle hub session and the derived
 # sessions-per-GB capacity floor (BENCH_mem.json), plus the warm
