@@ -95,47 +95,37 @@ type Decomposer func(*trace.Trace) *project.Series
 
 // Pipeline is a reusable instance of the batch pipeline. It owns the
 // per-trace scratch state — projection buffers, the identifier's
-// smoothing buffers, the pending-stepping window list — so processing
+// smoothing buffers, the decider's pending-stepping list — so processing
 // many traces through one Pipeline amortises those allocations to zero.
 // Construct with NewPipeline; not safe for concurrent use (the engine
 // layer recycles Pipelines across workers via sync.Pool).
 type Pipeline struct {
 	cfg       Config
 	decompose Decomposer // nil selects the buffer-recycling default
-	est       *stride.Estimator
 
-	series  project.Series
-	id      *gaitid.Identifier
-	idRate  float64
-	pending []pendingWindow
-}
-
-// pendingWindow is a stepping cycle awaiting streak confirmation; kept so
-// its strides are credited retroactively (Fig. 4's "+6").
-type pendingWindow struct {
-	cyc    segment.Cycle
-	margin int
-	w      project.Window
+	series project.Series
+	dec    gaitid.Decider
 }
 
 // NewPipeline validates the configuration (notably the stride profile)
 // and returns a reusable pipeline.
 func NewPipeline(cfg Config) (*Pipeline, error) {
-	return NewPipelineWithProjection(cfg, nil)
+	return newPipeline(cfg, nil)
 }
 
-// NewPipelineWithProjection is NewPipeline with a custom projection
-// stage. A nil decomposer selects the default gravity projection with
-// buffer recycling.
-func NewPipelineWithProjection(cfg Config, decompose Decomposer) (*Pipeline, error) {
+// newPipeline is NewPipeline with a custom projection stage. A nil
+// decomposer selects the default gravity projection with buffer
+// recycling.
+func newPipeline(cfg Config, decompose Decomposer) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
 	p := &Pipeline{cfg: cfg, decompose: decompose}
+	p.dec.Hooks = cfg.Hooks
 	if cfg.Profile != nil {
 		est, err := stride.New(*cfg.Profile)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		p.est = est
+		p.dec.Est = est
 	}
 	return p, nil
 }
@@ -149,7 +139,7 @@ func Process(tr *trace.Trace, cfg Config) (*Result, error) {
 // ProcessWithProjection runs the pipeline with a custom projection stage
 // (nil selects the default).
 func ProcessWithProjection(tr *trace.Trace, cfg Config, decompose Decomposer) (*Result, error) {
-	p, err := NewPipelineWithProjection(cfg, decompose)
+	p, err := newPipeline(cfg, decompose)
 	if err != nil {
 		return nil, err
 	}
@@ -167,11 +157,8 @@ func (p *Pipeline) Process(tr *trace.Trace) (*Result, error) {
 	if tr == nil || !(tr.SampleRate > 0) || math.IsInf(tr.SampleRate, 1) {
 		return nil, fmt.Errorf("core: trace with a positive finite sample rate required")
 	}
-	est := p.est
-
 	h := cfg.Hooks
 	var t0 time.Time
-	var identifyDur, strideDur time.Duration
 	if h != nil {
 		h.TraceProcessed()
 		t0 = time.Now()
@@ -190,177 +177,66 @@ func (p *Pipeline) Process(tr *trace.Trace) (*Result, error) {
 	if h != nil {
 		h.StageDone(obs.StageProject, time.Since(t0))
 	}
-	if p.id == nil || p.idRate != tr.SampleRate {
-		p.id = gaitid.NewIdentifier(cfg.Identify, tr.SampleRate)
-		p.idRate = tr.SampleRate
+	dec := &p.dec
+	if dec.ID == nil || dec.SampleRate != tr.SampleRate {
+		dec.ID = gaitid.NewIdentifier(cfg.Identify, tr.SampleRate)
+		dec.SampleRate = tr.SampleRate
 	} else {
-		p.id.Reset()
+		dec.ID.Reset()
 	}
-	id := p.id
-	var adaptive *gaitid.AdaptiveThreshold
+	dec.Break()
+	dec.Adaptive = nil
 	if cfg.AdaptiveDelta {
-		adaptive = gaitid.NewAdaptiveThreshold(0)
+		dec.Adaptive = gaitid.NewAdaptiveThreshold(0)
 	}
+	dec.IdentifyTime, dec.StrideTime = 0, 0
 
 	res := &Result{}
-	// Stepping cycles are credited retroactively on the confirmation
-	// cycle (+2·ConfirmCount); keep the pending windows so their strides
-	// are not lost.
-	pendingStepping := p.pending[:0]
-	defer func() { p.pending = pendingStepping[:0] }()
-
-	prevEnd := -1
 	for _, cyc := range seg.Cycles {
-		// A temporal gap in the candidate stream breaks the stepping
-		// streak: confirmation requires consecutive gait cycles.
-		if prevEnd >= 0 && cyc.Start-prevEnd > cyc.Len()/4 {
-			id.BreakStreak()
-			pendingStepping = pendingStepping[:0]
-		}
-		prevEnd = cyc.End
+		// Context on both sides of the cycle, shrunk symmetrically to
+		// fit inside the trace.
 		margin := int(cfg.MarginFraction * float64(cyc.Len()))
-		start, end := cyc.Start-margin, cyc.End+margin
-		if start < 0 {
+		if margin > cyc.Start {
 			margin = cyc.Start
-			start = 0
-			end = cyc.End + margin
 		}
-		if end > len(tr.Samples) {
-			over := end - len(tr.Samples)
-			if margin-over < 0 {
-				continue
-			}
+		if over := cyc.End + margin - len(tr.Samples); over > 0 {
 			margin -= over
-			start, end = cyc.Start-margin, cyc.End+margin
 		}
-		w := series.ProjectWindow(start, end)
-		if !w.OK {
-			continue
-		}
-		if adaptive != nil {
-			id.SetThreshold(adaptive.Threshold())
-		}
-		if h != nil {
-			t0 = time.Now()
-		}
-		cr := id.ClassifyWindow(w.Vertical, w.Anterior, margin)
-		if h != nil {
-			identifyDur += time.Since(t0)
-		}
-		if adaptive != nil && cr.OffsetOK {
-			adaptive.Observe(cr.Offset)
-		}
+		w := series.ProjectWindow(cyc.Start-margin, cyc.End+margin)
+		d := dec.Decide(cyc.Start, cyc.End, w.Vertical, w.Anterior, w.OK, margin)
 		out := CycleOutcome{
-			Start: cyc.Start, End: cyc.End,
-			T:      float64(cyc.End) / tr.SampleRate,
-			Label:  cr.Label,
-			Offset: cr.Offset, C: cr.C, PhaseOK: cr.PhaseOK,
-			StepsAdded: cr.StepsAdded,
+			Start: cyc.Start, End: cyc.End, T: d.T,
+			Label:  d.Label,
+			Offset: d.Offset, C: d.C, PhaseOK: d.PhaseOK,
+			StepsAdded: d.StepsAdded,
+			Strides:    d.Strides,
 		}
-
-		if h != nil {
-			h.Cycle(int(cr.Label), out.T, cr.Offset, cr.C, cr.OffsetOK, cr.StepsAdded)
-			t0 = time.Now()
+		// A confirmation credits the pending streak first (Fig. 4's
+		// "+6"), then this cycle's own steps.
+		for _, b := range d.Backfill {
+			res.logSteps(b.T, b.Strides, 2)
 		}
-		switch cr.Label {
-		case gaitid.LabelWalking:
-			out.Strides = cycleStrides(est, w, margin, tr.SampleRate, cr.StepsAdded, true)
-			credit(res, &out, tr.SampleRate)
-			pendingStepping = pendingStepping[:0]
-		case gaitid.LabelStepping:
-			if cr.StepsAdded == 0 {
-				// Pending until the streak confirms.
-				pendingStepping = append(pendingStepping, pendingWindow{cyc: cyc, margin: margin, w: w})
-			} else {
-				// The confirmation cycle credits the pending streak too
-				// (Fig. 4's "+6"): flush the pending cycles' strides, then
-				// this cycle's own two steps.
-				for _, p := range pendingStepping {
-					strides := cycleStrides(est, p.w, p.margin, tr.SampleRate, 2, false)
-					pOut := CycleOutcome{T: float64(p.cyc.End) / tr.SampleRate, Strides: strides}
-					creditSteps(res, &pOut, 2, tr.SampleRate)
-				}
-				pendingStepping = pendingStepping[:0]
-				out.Strides = cycleStrides(est, w, margin, tr.SampleRate, 2, false)
-				creditSteps(res, &out, 2, tr.SampleRate)
-			}
-		default:
-			pendingStepping = pendingStepping[:0]
-		}
-		if h != nil {
-			strideDur += time.Since(t0)
-		}
+		res.logSteps(d.T, d.Strides, d.StepsAdded-2*len(d.Backfill))
 		res.Cycles = append(res.Cycles, out)
 	}
-	res.Steps = id.Steps()
+	res.Steps = dec.ID.Steps()
 	if h != nil {
-		h.StageDone(obs.StageIdentify, identifyDur)
-		h.StageDone(obs.StageStride, strideDur)
+		h.StageDone(obs.StageIdentify, dec.IdentifyTime)
+		h.StageDone(obs.StageStride, dec.StrideTime)
 		h.AddSteps(res.Steps)
 	}
 	return res, nil
 }
 
-// credit logs a walking cycle's steps and strides into the result.
-func credit(res *Result, out *CycleOutcome, sampleRate float64) {
-	creditSteps(res, out, out.StepsAdded, sampleRate)
-}
-
-func creditSteps(res *Result, out *CycleOutcome, n int, sampleRate float64) {
-	t := out.T
+// logSteps logs n counted steps ending at t with their strides (0 each
+// when stride estimation is off).
+func (r *Result) logSteps(t float64, strides []float64, n int) {
 	for i := 0; i < n; i++ {
 		s := 0.0
-		if i < len(out.Strides) {
-			s = out.Strides[i]
-		} else if len(out.Strides) > 0 {
-			s = out.Strides[len(out.Strides)-1]
+		if i < len(strides) {
+			s = strides[i]
 		}
-		res.Distance += s
-		res.StepLog = append(res.StepLog, StepEstimate{T: t, Stride: s})
+		r.Distance += s
+		r.StepLog = append(r.StepLog, StepEstimate{T: t, Stride: s})
 	}
-}
-
-// cycleStrides runs the stride estimator over one projected window and
-// returns up to `count` per-step strides. When the estimator finds fewer
-// steps than counted, the mean of the found strides pads the remainder so
-// distance accounting stays consistent.
-func cycleStrides(est *stride.Estimator, w project.Window, margin int, sampleRate float64, count int, walking bool) []float64 {
-	if est == nil || count <= 0 {
-		return nil
-	}
-	var steps []stride.Step
-	if walking {
-		steps = est.EstimateWalking(w.Vertical, w.Anterior, margin, sampleRate)
-	} else {
-		steps = est.EstimateStepping(w.Vertical, margin, sampleRate)
-	}
-	out := make([]float64, 0, count)
-	for _, s := range steps {
-		if len(out) == count {
-			break
-		}
-		out = append(out, s.Stride)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	var sum float64
-	for _, s := range out {
-		sum += s
-	}
-	mean := sum / float64(len(out))
-	if walking {
-		// The forward and backward arm-swing halves of a cycle see the
-		// body bounce at opposite phases, biasing their individual
-		// estimates in opposite directions; the left and right strides of
-		// one cycle are nearly equal, so averaging them cancels the
-		// artefact without losing cycle-to-cycle stride variation.
-		for i := range out {
-			out[i] = mean
-		}
-	}
-	for len(out) < count {
-		out = append(out, mean)
-	}
-	return out
 }

@@ -34,7 +34,6 @@ type Item struct {
 type Pool struct {
 	workers   int
 	cfg       core.Config
-	decompose core.Decomposer
 	hooks     *obs.Hooks
 	pipelines sync.Pool // of *core.Pipeline
 }
@@ -43,22 +42,14 @@ type Pool struct {
 // runtime.GOMAXPROCS(0)). The configuration is validated once, up front,
 // so a bad profile fails here rather than per trace.
 func NewPool(workers int, cfg core.Config) (*Pool, error) {
-	return NewPoolWithProjection(workers, cfg, nil)
-}
-
-// NewPoolWithProjection is NewPool with a custom projection stage. The
-// decomposer is shared across workers, so it must either be stateless or
-// safe for concurrent use; nil selects the default gravity projection,
-// which is worker-local and buffer-recycling.
-func NewPoolWithProjection(workers int, cfg core.Config, decompose core.Decomposer) (*Pool, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// Validate the configuration once; workers assume it is good.
-	if _, err := core.NewPipelineWithProjection(cfg, decompose); err != nil {
+	if _, err := core.NewPipeline(cfg); err != nil {
 		return nil, err
 	}
-	return &Pool{workers: workers, cfg: cfg, decompose: decompose, hooks: cfg.Hooks}, nil
+	return &Pool{workers: workers, cfg: cfg, hooks: cfg.Hooks}, nil
 }
 
 // Workers returns the pool's parallelism bound.
@@ -68,7 +59,7 @@ func (p *Pool) pipeline() *core.Pipeline {
 	if pl, ok := p.pipelines.Get().(*core.Pipeline); ok {
 		return pl
 	}
-	pl, err := core.NewPipelineWithProjection(p.cfg, p.decompose)
+	pl, err := core.NewPipeline(p.cfg)
 	if err != nil {
 		// NewPool validated the identical configuration; reaching this
 		// would be a programming error in core.

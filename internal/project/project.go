@@ -21,8 +21,7 @@ type Series struct {
 	Vertical   []float64
 	H1, H2     []float64
 
-	lastAxis vecmath.Vec3   // sign-stabilisation state across windows
-	pts      []vecmath.Vec3 // ProjectWindow scratch, reused across windows
+	fit AxisFitter // anterior fit with sign memory across windows
 }
 
 // Reset clears the per-trace state (sample rate, series, axis memory)
@@ -33,7 +32,7 @@ func (s *Series) Reset() {
 	s.Vertical = s.Vertical[:0]
 	s.H1 = s.H1[:0]
 	s.H2 = s.H2[:0]
-	s.lastAxis = vecmath.Vec3{}
+	s.fit.Last = vecmath.Vec3{}
 }
 
 // grow resizes the three channel buffers to n samples, reusing capacity.
@@ -142,10 +141,8 @@ type Window struct {
 }
 
 // ProjectWindow extracts the [start, end) window and fits the anterior
-// axis to its horizontal scatter. The axis sign is stabilised against the
-// previous window's axis so consecutive cycles keep a consistent anterior
-// polarity (the absolute sign is unobservable without a compass, and no
-// downstream consumer needs it).
+// axis to its horizontal scatter, sign-stabilised against the previous
+// window's axis (see AxisFitter).
 func (s *Series) ProjectWindow(start, end int) Window {
 	if start < 0 {
 		start = 0
@@ -162,33 +159,57 @@ func (s *Series) ProjectWindow(start, end int) Window {
 		Anterior: make([]float64, n),
 	}
 	copy(w.Vertical, s.Vertical[start:end])
-
-	// The point cloud is consumed entirely within this call, so one
-	// scratch buffer serves every window of the trace.
-	if cap(s.pts) < n {
-		s.pts = make([]vecmath.Vec3, n)
-	}
-	pts := s.pts[:n]
-	for i := 0; i < n; i++ {
-		pts[i] = vecmath.V3(s.H1[start+i], s.H2[start+i], 0)
-	}
-	axis, ok := vecmath.PrincipalAxis2D(pts)
-	if !ok {
-		// No horizontal energy: anterior stays zero; vertical is still
-		// valid so the caller can decide what to do.
-		return w
-	}
-	if s.lastAxis.NormSq() > 0 && axis.Dot(s.lastAxis) < 0 {
-		axis = axis.Neg()
-	}
-	s.lastAxis = axis
-	for i := 0; i < n; i++ {
-		w.Anterior[i] = pts[i].Dot(axis)
-	}
-	w.Axis = axis
-	w.OK = true
+	// With no horizontal energy the anterior series stays zero; vertical
+	// is still valid so the caller can decide what to do.
+	_, w.Axis, w.OK = s.fit.Fit(w.Anterior, s.H1[start:end], s.H2[start:end])
 	return w
 }
+
+// AxisFitter fits the anterior axis of successive windows: the principal
+// direction of a window's horizontal (H1, H2) scatter, least-squares
+// fitted, with its sign stabilised against the previous window's axis so
+// consecutive cycles keep a consistent anterior polarity (the absolute
+// sign is unobservable without a compass, and no downstream consumer
+// needs it). The zero value is ready to use.
+type AxisFitter struct {
+	// Last is the previous fitted axis (zero before the first fit).
+	Last vecmath.Vec3
+	pts  []vecmath.Vec3 // point-cloud scratch, reused across windows
+}
+
+// Fit fits the axis over the window h1/h2 (equal lengths) and writes the
+// anterior projection into dst, reusing its capacity; the projection is
+// returned. ok is false — and dst untouched — when the scatter has no
+// dominant direction.
+func (f *AxisFitter) Fit(dst, h1, h2 []float64) (anterior []float64, axis vecmath.Vec3, ok bool) {
+	n := len(h1)
+	if cap(f.pts) < n {
+		f.pts = make([]vecmath.Vec3, n)
+	}
+	pts := f.pts[:n]
+	for i := range pts {
+		pts[i] = vecmath.V3(h1[i], h2[i], 0)
+	}
+	axis, ok = vecmath.PrincipalAxis2D(pts)
+	if !ok {
+		return dst, vecmath.Vec3{}, false
+	}
+	if f.Last.NormSq() > 0 && axis.Dot(f.Last) < 0 {
+		axis = axis.Neg()
+	}
+	f.Last = axis
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	anterior = dst[:n]
+	for i, p := range pts {
+		anterior[i] = p.Dot(axis)
+	}
+	return anterior, axis, true
+}
+
+// ScratchBytes reports the fitter's retained scratch capacity.
+func (f *AxisFitter) ScratchBytes() int { return 24 * cap(f.pts) }
 
 // Smooth returns copies of the window's series zero-phase low-passed at
 // cutoffHz — the phase-preserving smoothing the critical-point analysis

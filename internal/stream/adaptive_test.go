@@ -22,7 +22,7 @@ func TestAdaptiveDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tk.adaptive == nil {
+	if tk.dec.Adaptive == nil {
 		t.Fatal("AdaptiveDelta did not attach an adaptive threshold")
 	}
 	fixed, err := New(Config{SampleRate: rec.Trace.SampleRate})

@@ -1,11 +1,13 @@
 package stream
 
-// This file preserves the pre-incremental online tracker verbatim, as the
-// behavioural reference for the streaming front end: the whole-buffer
-// zero-phase refilter and re-segmentation it performs on every scan are
-// what the incremental tail/cursor implementation in stream.go must
-// reproduce event for event (see equiv_test.go). Keep it in sync with
-// nothing — its value is that it does NOT change with stream.go.
+// This file preserves the pre-incremental online tracker's front end
+// verbatim, as the behavioural reference for the streaming front end: the
+// whole-buffer zero-phase refilter and re-segmentation it performs on
+// every scan are what the incremental tail/cursor implementation in
+// stream.go must reproduce event for event (see equiv_test.go). Keep its
+// front end in sync with nothing — its value is that it does NOT change
+// with stream.go. The per-cycle decision is not what it checks, so it
+// calls the same gaitid.Decider and event shaping as the tracker.
 
 import (
 	"math"
@@ -21,12 +23,10 @@ import (
 // refTracker is the old online pipeline: O(buffer) refilter + peak
 // re-detection per scan, allocating fresh intermediates throughout.
 type refTracker struct {
-	cfg      Config
-	id       *gaitid.Identifier
-	adaptive *gaitid.AdaptiveThreshold
-	est      *stride.Estimator
-	grav     *imu.Projector
-	gravSet  bool
+	cfg     Config
+	dec     gaitid.Decider
+	grav    *imu.Projector
+	gravSet bool
 
 	base     int
 	absCount int
@@ -36,10 +36,7 @@ type refTracker struct {
 
 	lastPeak     int
 	lastCycleLen int
-	prevCycleEnd int
 	sinceScan    int
-
-	pendingStepping []pendingCycle
 
 	lastAxis vecmath.Vec3
 }
@@ -47,25 +44,28 @@ type refTracker struct {
 func newRefTracker(cfg Config) (*refTracker, error) {
 	cfg = cfg.withDefaults()
 	t := &refTracker{
-		cfg:      cfg,
-		id:       gaitid.NewIdentifier(cfg.Identify, cfg.SampleRate),
+		cfg: cfg,
+		dec: gaitid.Decider{
+			ID:         gaitid.NewIdentifier(cfg.Identify, cfg.SampleRate),
+			SampleRate: cfg.SampleRate,
+		},
 		grav:     imu.NewProjector(0.04, cfg.SampleRate),
 		lastPeak: -1,
 	}
 	if cfg.AdaptiveDelta {
-		t.adaptive = gaitid.NewAdaptiveThreshold(0)
+		t.dec.Adaptive = gaitid.NewAdaptiveThreshold(0)
 	}
 	if cfg.Profile != nil {
 		est, err := stride.New(*cfg.Profile)
 		if err != nil {
 			return nil, err
 		}
-		t.est = est
+		t.dec.Est = est
 	}
 	return t, nil
 }
 
-func (t *refTracker) Steps() int { return t.id.Steps() }
+func (t *refTracker) Steps() int { return t.dec.ID.Steps() }
 
 func (t *refTracker) Push(s trace.Sample) []Event {
 	if !t.gravSet {
@@ -193,12 +193,6 @@ func (t *refTracker) peakAmplitudesConsistent(smooth []float64, p0, p1, p2 int, 
 }
 
 func (t *refTracker) classifyCycle(startAbs, endAbs, margin int) []Event {
-	if t.prevCycleEnd > 0 && startAbs-t.prevCycleEnd > (endAbs-startAbs)/4 {
-		t.id.BreakStreak()
-		t.pendingStepping = t.pendingStepping[:0]
-	}
-	t.prevCycleEnd = endAbs
-
 	lo := startAbs - margin - t.base
 	hi := endAbs + margin - t.base
 	if lo < 0 {
@@ -209,54 +203,8 @@ func (t *refTracker) classifyCycle(startAbs, endAbs, margin int) []Event {
 	}
 	vertical := append([]float64(nil), t.vertical[lo:hi]...)
 	anterior, ok := t.anterior(lo, hi)
-	endT := float64(endAbs) / t.cfg.SampleRate
-	if !ok {
-		return []Event{{T: endT, Label: gaitid.LabelInterference, TotalSteps: t.id.Steps()}}
-	}
-
-	if t.adaptive != nil {
-		t.id.SetThreshold(t.adaptive.Threshold())
-	}
-	cr := t.id.ClassifyWindow(vertical, anterior, margin)
-	if t.adaptive != nil && cr.OffsetOK {
-		t.adaptive.Observe(cr.Offset)
-	}
-	ev := Event{
-		T:          endT,
-		Label:      cr.Label,
-		StepsAdded: cr.StepsAdded,
-		TotalSteps: t.id.Steps(),
-		Offset:     cr.Offset,
-	}
-
-	switch cr.Label {
-	case gaitid.LabelWalking:
-		t.pendingStepping = t.pendingStepping[:0]
-		ev.Strides = t.strides(vertical, anterior, margin, cr.StepsAdded, true)
-		return []Event{ev}
-	case gaitid.LabelStepping:
-		strides := t.strides(vertical, anterior, margin, 2, false)
-		if cr.StepsAdded == 0 {
-			t.pendingStepping = append(t.pendingStepping, pendingCycle{endT: endT, strides: strides})
-			return []Event{ev}
-		}
-		var out []Event
-		for _, p := range t.pendingStepping {
-			out = append(out, Event{
-				T: p.endT, Label: gaitid.LabelStepping,
-				StepsAdded: 2, Strides: p.strides,
-				TotalSteps: t.id.Steps(),
-			})
-		}
-		t.pendingStepping = t.pendingStepping[:0]
-		ev.StepsAdded = 2
-		ev.Strides = strides
-		out = append(out, ev)
-		return out
-	default:
-		t.pendingStepping = t.pendingStepping[:0]
-		return []Event{ev}
-	}
+	d := t.dec.Decide(startAbs, endAbs, vertical, anterior, ok, margin)
+	return appendDecision(nil, d, t.dec.ID.Steps())
 }
 
 func (t *refTracker) anterior(lo, hi int) ([]float64, bool) {
@@ -277,36 +225,6 @@ func (t *refTracker) anterior(lo, hi int) ([]float64, bool) {
 		out[i] = p.Dot(axis)
 	}
 	return out, true
-}
-
-func (t *refTracker) strides(vertical, anterior []float64, margin, count int, walking bool) []float64 {
-	if t.est == nil || count <= 0 {
-		return nil
-	}
-	var steps []stride.Step
-	if walking {
-		steps = t.est.EstimateWalking(vertical, anterior, margin, t.cfg.SampleRate)
-	} else {
-		steps = t.est.EstimateStepping(vertical, margin, t.cfg.SampleRate)
-	}
-	if len(steps) == 0 {
-		return nil
-	}
-	var sum float64
-	n := 0
-	for _, s := range steps {
-		if n == count {
-			break
-		}
-		sum += s.Stride
-		n++
-	}
-	mean := sum / float64(n)
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = mean
-	}
-	return out
 }
 
 func (t *refTracker) compact() {

@@ -64,31 +64,31 @@ func (t *Tracker) Snapshot(dst []byte) []byte {
 	// Segmentation cursors.
 	e.Int(t.lastPeak)
 	e.Int(t.lastCycleLen)
-	e.Int(t.prevCycleEnd)
+	e.Int(t.dec.PrevEnd)
 	e.Int(t.sinceScan)
 
 	// Pending stepping cycles awaiting confirmation.
-	e.Uint(uint64(len(t.pendingStepping)))
-	for _, p := range t.pendingStepping {
-		e.F64(p.endT)
-		e.F64s(p.strides)
+	e.Uint(uint64(len(t.dec.Pending)))
+	for _, p := range t.dec.Pending {
+		e.F64(p.T)
+		e.F64s(p.Strides)
 	}
 
-	e.F64(t.lastAxis.X)
-	e.F64(t.lastAxis.Y)
-	e.F64(t.lastAxis.Z)
+	e.F64(t.fit.Last.X)
+	e.F64(t.fit.Last.Y)
+	e.F64(t.fit.Last.Z)
 
 	// Identification state machine.
-	ids := t.id.State()
+	ids := t.dec.ID.State()
 	e.Int(ids.Steps)
 	e.Int(ids.Consecutive)
 	e.Bool(ids.Confirmed)
 	e.F64(ids.Threshold)
 
 	// Adaptive threshold history ring.
-	e.Bool(t.adaptive != nil)
-	if t.adaptive != nil {
-		hist, next, full := t.adaptive.State()
+	e.Bool(t.dec.Adaptive != nil)
+	if t.dec.Adaptive != nil {
+		hist, next, full := t.dec.Adaptive.State()
 		e.F64s(hist)
 		e.Int(next)
 		e.Bool(full)
@@ -153,17 +153,17 @@ func (t *Tracker) Restore(blob []byte) error {
 
 	lastPeak := d.Int()
 	lastCycleLen := d.Int()
-	prevCycleEnd := d.Int()
+	prevEnd := d.Int()
 	sinceScan := d.Int()
 
 	nPending := d.Uint()
 	if nPending > uint64(d.Remaining())/8 {
 		return fmt.Errorf("stream: restore: %w: pending-cycle count %d exceeds blob size", statecodec.ErrCorrupt, nPending)
 	}
-	pending := make([]pendingCycle, nPending)
+	pending := make([]gaitid.Pending, nPending)
 	for i := range pending {
-		pending[i].endT = d.F64()
-		pending[i].strides = d.F64s(nil)
+		pending[i].T = d.F64()
+		pending[i].Strides = d.F64s(nil)
 	}
 
 	lastAxis := vecmath.V3(d.F64(), d.F64(), d.F64())
@@ -179,7 +179,7 @@ func (t *Tracker) Restore(blob []byte) error {
 	ids.threshold = d.F64()
 
 	hasAdaptive := d.Bool()
-	if hasAdaptive != (t.adaptive != nil) {
+	if hasAdaptive != (t.dec.Adaptive != nil) {
 		return fmt.Errorf("stream: restore: snapshot and tracker disagree on adaptive thresholding")
 	}
 	var adHist []float64
@@ -228,18 +228,18 @@ func (t *Tracker) Restore(blob []byte) error {
 	t.final = final
 	t.lastPeak = lastPeak
 	t.lastCycleLen = lastCycleLen
-	t.prevCycleEnd = prevCycleEnd
+	t.dec.PrevEnd = prevEnd
 	t.sinceScan = sinceScan
-	t.pendingStepping = pending
-	t.lastAxis = lastAxis
-	t.id.SetState(gaitid.State{
+	t.dec.Pending = pending
+	t.fit.Last = lastAxis
+	t.dec.ID.SetState(gaitid.State{
 		Steps:       ids.steps,
 		Consecutive: ids.consecutive,
 		Confirmed:   ids.confirmed,
 		Threshold:   ids.threshold,
 	})
-	if t.adaptive != nil {
-		t.adaptive.SetState(adHist, adNext, adFull)
+	if t.dec.Adaptive != nil {
+		t.dec.Adaptive.SetState(adHist, adNext, adFull)
 	}
 	return nil
 }

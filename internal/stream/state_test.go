@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -313,5 +315,65 @@ func TestSnapshotAppendsToDst(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("consecutive snapshots of an untouched tracker differ")
+	}
+}
+
+// goldenCut is where testdata/snapshot_v1.bin was taken: 322 samples
+// into the default 60 s stepping trace, with two stepping cycles
+// (t = 1.67 s and 2.78 s) pending streak confirmation.
+const goldenCut = 322
+
+// TestSnapshotGoldenRoundTrip pins the snapshot layout against a blob
+// written by an earlier build (adaptive δ, input conditioning and a
+// stride profile, cut mid-streak): restoring it and snapshotting again
+// must reproduce it byte for byte, so state directories written by
+// older binaries keep resuming. The resumed tracker must also back-fill
+// the pending cycles it restored and land on the uninterrupted total.
+func TestSnapshotGoldenRoundTrip(t *testing.T) {
+	golden, err := os.ReadFile("testdata/snapshot_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gaitsim.DefaultProfile()
+	cfg := onlineConfig(p)
+	cfg.AdaptiveDelta = true
+	cfg.Condition = &condition.StreamConfig{}
+	tk, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.Restore(golden); err != nil {
+		t.Fatal(err)
+	}
+	if got := tk.Snapshot(nil); !bytes.Equal(got, golden) {
+		t.Fatalf("round-tripped snapshot differs from the golden blob (%d vs %d bytes)", len(got), len(golden))
+	}
+
+	rec, err := gaitsim.SimulateActivity(p, gaitsim.DefaultConfig(), trace.ActivityStepping, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range rec.Trace.Samples {
+		whole.Push(s)
+	}
+	whole.Flush()
+	backfilled := map[float64]bool{}
+	for _, s := range rec.Trace.Samples[goldenCut:] {
+		for _, ev := range tk.Push(s) {
+			if ev.StepsAdded == 2 && (ev.T == 1.67 || ev.T == 2.78) {
+				backfilled[ev.T] = true
+			}
+		}
+	}
+	tk.Flush()
+	if len(backfilled) != 2 {
+		t.Errorf("restored pending cycles back-filled at %v, want t=1.67 and t=2.78", backfilled)
+	}
+	if tk.Steps() != whole.Steps() {
+		t.Errorf("resumed total %d steps, uninterrupted %d", tk.Steps(), whole.Steps())
 	}
 }

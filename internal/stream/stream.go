@@ -30,10 +30,10 @@ import (
 	"ptrack/internal/gaitid"
 	"ptrack/internal/imu"
 	"ptrack/internal/obs"
+	"ptrack/internal/project"
 	"ptrack/internal/segment"
 	"ptrack/internal/stride"
 	"ptrack/internal/trace"
-	"ptrack/internal/vecmath"
 )
 
 // Event is emitted when one gait-cycle candidate has been classified.
@@ -99,13 +99,11 @@ const settleTol = 1e-24
 // Tracker is the online pipeline. Construct with New. Not safe for
 // concurrent use.
 type Tracker struct {
-	cfg      Config
-	segCfg   segment.Config // cfg.Segment with defaults resolved
-	id       *gaitid.Identifier
-	adaptive *gaitid.AdaptiveThreshold // nil unless cfg.AdaptiveDelta
-	est      *stride.Estimator         // nil when no profile
-	grav     *imu.Projector
-	gravSet  bool
+	cfg     Config
+	segCfg  segment.Config // cfg.Segment with defaults resolved
+	dec     gaitid.Decider // per-cycle decision, pending stepping cycles
+	grav    *imu.Projector
+	gravSet bool
 
 	// Sliding buffers, all indexed by absolute sample number minus base.
 	// The named slices are views into per-signal arenas: compaction
@@ -143,19 +141,13 @@ type Tracker struct {
 
 	lastPeak     int // absolute index of the last consumed cycle end peak
 	lastCycleLen int
-	prevCycleEnd int // for gap detection
 	sinceScan    int // samples since the last buffer scan
 
 	// Scan scratch, recycled across drains.
 	pf     dsp.PeakFinder
 	cand   []int // candidate peak absolute indices, cursor-consumed
-	antPts []vecmath.Vec3
+	fit    project.AxisFitter
 	antBuf []float64
-
-	// Stepping cycles pending confirmation, for stride back-fill.
-	pendingStepping []pendingCycle
-
-	lastAxis vecmath.Vec3
 
 	// cond is the optional online conditioner in front of the DSP path.
 	cond *condition.Streamer
@@ -182,11 +174,6 @@ type Tracker struct {
 // of the system produces.
 const BlockSamples = 64
 
-type pendingCycle struct {
-	endT    float64
-	strides []float64
-}
-
 // New returns an online tracker.
 func New(cfg Config) (*Tracker, error) {
 	cfg = cfg.withDefaults()
@@ -198,9 +185,13 @@ func New(cfg Config) (*Tracker, error) {
 	}
 	segCfg := cfg.Segment.WithDefaults()
 	t := &Tracker{
-		cfg:      cfg,
-		segCfg:   segCfg,
-		id:       gaitid.NewIdentifier(cfg.Identify, cfg.SampleRate),
+		cfg:    cfg,
+		segCfg: segCfg,
+		dec: gaitid.Decider{
+			ID:         gaitid.NewIdentifier(cfg.Identify, cfg.SampleRate),
+			Hooks:      cfg.Hooks,
+			SampleRate: cfg.SampleRate,
+		},
 		grav:     imu.NewProjector(0.04, cfg.SampleRate),
 		lastPeak: -1,
 		// Derived sample counts truncate to 0 below 10 Hz (0.1 s spans
@@ -228,14 +219,14 @@ func New(cfg Config) (*Tracker, error) {
 	// whole-buffer detection on every seed activity.
 	t.lookback = max2(1, int(math.Round(segCfg.MaxCycleS*cfg.SampleRate))+4*t.minDistSamp)
 	if cfg.AdaptiveDelta {
-		t.adaptive = gaitid.NewAdaptiveThreshold(0)
+		t.dec.Adaptive = gaitid.NewAdaptiveThreshold(0)
 	}
 	if cfg.Profile != nil {
 		est, err := stride.New(*cfg.Profile)
 		if err != nil {
 			return nil, fmt.Errorf("stream: %w", err)
 		}
-		t.est = est
+		t.dec.Est = est
 	}
 	if cfg.Condition != nil {
 		cc := *cfg.Condition
@@ -250,15 +241,15 @@ func New(cfg Config) (*Tracker, error) {
 }
 
 // Steps returns the running step count.
-func (t *Tracker) Steps() int { return t.id.Steps() }
+func (t *Tracker) Steps() int { return t.dec.ID.Steps() }
 
 // Threshold returns the offset threshold δ currently in use — the fixed
 // configuration value, or the adaptive estimate when AdaptiveDelta is on.
 func (t *Tracker) Threshold() float64 {
-	if t.adaptive != nil {
-		return t.adaptive.Threshold()
+	if t.dec.Adaptive != nil {
+		return t.dec.Adaptive.Threshold()
 	}
-	return t.id.Threshold()
+	return t.dec.ID.Threshold()
 }
 
 // Push consumes one sample and returns any events that became decidable.
@@ -477,12 +468,10 @@ func (t *Tracker) splitResetInto(evs []Event) []Event {
 	n0 := len(evs)
 	evs = t.drainInto(evs, true)
 	t.observeEvents(evs[n0:])
-	t.id.BreakStreak()
-	t.pendingStepping = t.pendingStepping[:0]
+	t.dec.Break()
 	if t.absCount > 0 {
 		t.lastPeak = t.absCount - 1
 	}
-	t.prevCycleEnd = 0
 	t.sinceScan = 0
 	return evs
 }
@@ -613,20 +602,12 @@ func (t *Tracker) peakAmplitudesConsistent(p0, p1, p2 int, maxRatio float64) boo
 	return hi/lo <= maxRatio
 }
 
-// classifyInto runs identification and stride estimation over the cycle
-// [startAbs, endAbs) with the given symmetric margin, appending the
-// resulting events to evs. The projected windows are handed to the
-// classifier and the stride estimator as live subslices of the tracker's
-// buffers — both stages copy before smoothing, so no per-cycle window
-// copies are needed.
+// classifyInto decides the cycle [startAbs, endAbs) over its projected
+// window with the given symmetric margin, appending the resulting events
+// to evs. The windows are handed to the decider as live subslices of the
+// tracker's buffers — identification and stride estimation copy before
+// smoothing, so no per-cycle window copies are needed.
 func (t *Tracker) classifyInto(evs []Event, startAbs, endAbs, margin int) []Event {
-	// Gap detection: break the stepping streak across silence.
-	if t.prevCycleEnd > 0 && startAbs-t.prevCycleEnd > (endAbs-startAbs)/4 {
-		t.id.BreakStreak()
-		t.pendingStepping = t.pendingStepping[:0]
-	}
-	t.prevCycleEnd = endAbs
-
 	lo := startAbs - margin - t.base
 	hi := endAbs + margin - t.base
 	if lo < 0 {
@@ -635,121 +616,32 @@ func (t *Tracker) classifyInto(evs []Event, startAbs, endAbs, margin int) []Even
 	if hi > len(t.vertical) {
 		hi = len(t.vertical)
 	}
-	vertical := t.vertical[lo:hi]
-	anterior, ok := t.anterior(lo, hi)
-	endT := float64(endAbs) / t.cfg.SampleRate
-	if !ok {
-		t.cfg.Hooks.Cycle(int(gaitid.LabelInterference), endT, 0, 0, false, 0)
-		return append(evs, Event{T: endT, Label: gaitid.LabelInterference, TotalSteps: t.id.Steps()})
-	}
-
-	if t.adaptive != nil {
-		t.id.SetThreshold(t.adaptive.Threshold())
-	}
-	cr := t.id.ClassifyWindow(vertical, anterior, margin)
-	if t.adaptive != nil && cr.OffsetOK {
-		t.adaptive.Observe(cr.Offset)
-	}
-	t.cfg.Hooks.Cycle(int(cr.Label), endT, cr.Offset, cr.C, cr.OffsetOK, cr.StepsAdded)
-	ev := Event{
-		T:          endT,
-		Label:      cr.Label,
-		StepsAdded: cr.StepsAdded,
-		TotalSteps: t.id.Steps(),
-		Offset:     cr.Offset,
-	}
-
-	switch cr.Label {
-	case gaitid.LabelWalking:
-		t.pendingStepping = t.pendingStepping[:0]
-		ev.Strides = t.strides(vertical, anterior, margin, cr.StepsAdded, true)
-		return append(evs, ev)
-	case gaitid.LabelStepping:
-		// Stride slices outlive the push that produced them (pending
-		// cycles are carried until confirmation and snapshotted), so they
-		// stay individually allocated rather than arena-backed.
-		strides := t.strides(vertical, anterior, margin, 2, false)
-		if cr.StepsAdded == 0 {
-			t.pendingStepping = append(t.pendingStepping, pendingCycle{endT: endT, strides: strides})
-			return append(evs, ev)
-		}
-		// Confirmation: emit back-fill events for the pending cycles.
-		for _, p := range t.pendingStepping {
-			evs = append(evs, Event{
-				T: p.endT, Label: gaitid.LabelStepping,
-				StepsAdded: 2, Strides: p.strides,
-				TotalSteps: t.id.Steps(),
-			})
-		}
-		t.pendingStepping = t.pendingStepping[:0]
-		ev.StepsAdded = 2
-		ev.Strides = strides
-		return append(evs, ev)
-	default:
-		t.pendingStepping = t.pendingStepping[:0]
-		return append(evs, ev)
-	}
+	anterior, _, ok := t.fit.Fit(t.antBuf, t.h1[lo:hi], t.h2[lo:hi])
+	t.antBuf = anterior
+	d := t.dec.Decide(startAbs, endAbs, t.vertical[lo:hi], anterior, ok, margin)
+	return appendDecision(evs, d, t.dec.ID.Steps())
 }
 
-// anterior fits the principal horizontal axis over [lo, hi) and projects
-// into the tracker's scratch; the result is valid until the next call.
-func (t *Tracker) anterior(lo, hi int) ([]float64, bool) {
-	n := hi - lo
-	if cap(t.antPts) < n {
-		t.antPts = make([]vecmath.Vec3, n)
+// appendDecision shapes one decision into events: a confirmation first
+// re-emits each back-filled pending cycle with its two credited steps,
+// then the cycle itself with its own steps. total is the running step
+// count after the decision.
+func appendDecision(evs []Event, d gaitid.Decision, total int) []Event {
+	for _, p := range d.Backfill {
+		evs = append(evs, Event{
+			T: p.T, Label: gaitid.LabelStepping,
+			StepsAdded: 2, Strides: p.Strides,
+			TotalSteps: total,
+		})
 	}
-	pts := t.antPts[:n]
-	for i := range pts {
-		pts[i] = vecmath.V3(t.h1[lo+i], t.h2[lo+i], 0)
-	}
-	axis, ok := vecmath.PrincipalAxis2D(pts)
-	if !ok {
-		return nil, false
-	}
-	if t.lastAxis.NormSq() > 0 && axis.Dot(t.lastAxis) < 0 {
-		axis = axis.Neg()
-	}
-	t.lastAxis = axis
-	if cap(t.antBuf) < n {
-		t.antBuf = make([]float64, n)
-	}
-	out := t.antBuf[:n]
-	for i, p := range pts {
-		out[i] = p.Dot(axis)
-	}
-	return out, true
-}
-
-// strides estimates up to count strides for a window, averaging within the
-// cycle as the batch pipeline does.
-func (t *Tracker) strides(vertical, anterior []float64, margin, count int, walking bool) []float64 {
-	if t.est == nil || count <= 0 {
-		return nil
-	}
-	var steps []stride.Step
-	if walking {
-		steps = t.est.EstimateWalking(vertical, anterior, margin, t.cfg.SampleRate)
-	} else {
-		steps = t.est.EstimateStepping(vertical, margin, t.cfg.SampleRate)
-	}
-	if len(steps) == 0 {
-		return nil
-	}
-	var sum float64
-	n := 0
-	for _, s := range steps {
-		if n == count {
-			break
-		}
-		sum += s.Stride
-		n++
-	}
-	mean := sum / float64(n)
-	out := make([]float64, count)
-	for i := range out {
-		out[i] = mean
-	}
-	return out
+	return append(evs, Event{
+		T:          d.T,
+		Label:      d.Label,
+		StepsAdded: d.StepsAdded - 2*len(d.Backfill),
+		Strides:    d.Strides,
+		TotalSteps: total,
+		Offset:     d.Offset,
+	})
 }
 
 // FootprintBytes reports the tracker's resident heap footprint: the six
@@ -763,22 +655,21 @@ func (t *Tracker) strides(vertical, anterior []float64, margin, count int, walki
 func (t *Tracker) FootprintBytes() int {
 	const (
 		f64Size     = 8
-		vec3Size    = 24 // 3 float64
 		eventSize   = 64 // T, Label, StepsAdded, Strides header, TotalSteps, Offset
 		sampleSize  = 64 // T, Accel, Gyro, Yaw
-		pendingSize = 32 // endT + strides header
+		pendingSize = 32 // T + strides header
 	)
 	b := f64Size * (cap(t.arMag) + cap(t.arVert) + cap(t.arH1) + cap(t.arH2) +
 		cap(t.arFwd) + cap(t.arSmth))
 	b += 8 * cap(t.cand)
-	b += vec3Size * cap(t.antPts)
+	b += t.fit.ScratchBytes()
 	b += f64Size * cap(t.antBuf)
 	b += eventSize * cap(t.evBuf)
 	b += sampleSize * cap(t.condRun)
 	b += t.pf.FootprintBytes()
-	b += pendingSize * cap(t.pendingStepping)
-	for _, p := range t.pendingStepping {
-		b += f64Size * cap(p.strides)
+	b += pendingSize * cap(t.dec.Pending)
+	for _, p := range t.dec.Pending {
+		b += f64Size * cap(p.Strides)
 	}
 	return b
 }
