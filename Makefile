@@ -187,28 +187,28 @@ bench-guard:
 	$(GO) test ./internal/stream -run 'TestScanPathAllocFree' -count=1 -v
 	$(GO) test . -run NONE -bench 'BenchmarkOnlineTracker' -benchmem -benchtime 2s \
 		| $(GO) run ./cmd/benchjson -out BENCH_stream.json \
-		-max-ns-per-sample $(STREAM_MAX_NS_PER_SAMPLE) \
-		-max-allocs-per-sample $(STREAM_MAX_ALLOCS_PER_SAMPLE) \
+		-max ns/sample=$(STREAM_MAX_NS_PER_SAMPLE) \
+		-max allocs/sample=$(STREAM_MAX_ALLOCS_PER_SAMPLE) \
 		-flat-within $(STREAM_FLAT_WITHIN)
 	$(GO) test ./internal/wire -run 'TestDecodeAllocFree' -count=1 -v
 	$(GO) test ./internal/wire -run NONE -bench 'BenchmarkDecodeNDJSON$$' -benchmem -benchtime 1s \
 		| $(GO) run ./cmd/benchjson \
-		-max-ns-per-sample $(WIRE_NDJSON_MAX_NS_PER_SAMPLE) \
-		-max-allocs-per-sample $(WIRE_MAX_ALLOCS_PER_SAMPLE)
+		-max ns/sample=$(WIRE_NDJSON_MAX_NS_PER_SAMPLE) \
+		-max allocs/sample=$(WIRE_MAX_ALLOCS_PER_SAMPLE)
 	$(GO) test ./internal/wire -run NONE -bench 'BenchmarkDecodeBinary$$' -benchmem -benchtime 1s \
 		| $(GO) run ./cmd/benchjson \
-		-max-ns-per-sample $(WIRE_BINARY_MAX_NS_PER_SAMPLE) \
-		-max-allocs-per-sample $(WIRE_MAX_ALLOCS_PER_SAMPLE)
+		-max ns/sample=$(WIRE_BINARY_MAX_NS_PER_SAMPLE) \
+		-max allocs/sample=$(WIRE_MAX_ALLOCS_PER_SAMPLE)
 	$(GO) test ./internal/obs/tracing -run 'TestNilTracerAllocFree' -count=1 -v
 	$(GO) test ./internal/engine -run NONE -bench 'BenchmarkHubPush/off$$' -benchmem -benchtime 1s \
 		| $(GO) run ./cmd/benchjson \
-		-max-ns-per-sample $(TRACE_OFF_MAX_NS_PER_SAMPLE) \
-		-max-allocs-per-sample $(TRACE_MAX_ALLOCS_PER_SAMPLE)
+		-max ns/sample=$(TRACE_OFF_MAX_NS_PER_SAMPLE) \
+		-max allocs/sample=$(TRACE_MAX_ALLOCS_PER_SAMPLE)
 	$(GO) test ./internal/engine -run NONE -bench 'BenchmarkHubPush$$' -benchmem -benchtime 1s \
 		| $(GO) run ./cmd/benchjson -out BENCH_trace.json \
 		-baseline BENCH_trace.json -regress-within $(TRACE_REGRESS_WITHIN) \
-		-max-ns-per-sample $(TRACE_SAMPLED_MAX_NS_PER_SAMPLE) \
-		-max-allocs-per-sample $(TRACE_MAX_ALLOCS_PER_SAMPLE)
+		-max ns/sample=$(TRACE_SAMPLED_MAX_NS_PER_SAMPLE) \
+		-max allocs/sample=$(TRACE_MAX_ALLOCS_PER_SAMPLE)
 	$(GO) test ./internal/stream -run NONE -bench 'BenchmarkSnapshot|BenchmarkRestore' -benchmem -benchtime 1000x \
 		| $(GO) run ./cmd/benchjson -out BENCH_state.json \
 		-max ns/op=$(STATE_MAX_SNAPSHOT_NS) \
@@ -262,8 +262,8 @@ bench-condition:
 	$(GO) test ./internal/condition -run 'TestStreamSteadyStateAllocFree' -count=1 -v
 	$(GO) test ./internal/condition -run NONE -bench 'BenchmarkStreamerPush' -benchmem -benchtime 1s \
 		| $(GO) run ./cmd/benchjson \
-		-max-ns-per-sample $(CONDITION_MAX_NS_PER_SAMPLE) \
-		-max-allocs-per-sample $(CONDITION_MAX_ALLOCS_PER_SAMPLE)
+		-max ns/sample=$(CONDITION_MAX_NS_PER_SAMPLE) \
+		-max allocs/sample=$(CONDITION_MAX_ALLOCS_PER_SAMPLE)
 
 # Refresh the committed streaming benchmark snapshot without enforcing
 # ceilings (bench-guard both refreshes and enforces).

@@ -11,8 +11,8 @@ import (
 
 // BatchItem is the outcome for one trace of a batch: exactly one of
 // Result and Err is set. Err wraps the package sentinels (ErrEmptyTrace,
-// ErrInvalidSampleRate) or, for traces a cancelled batch never reached,
-// the context's error.
+// ErrInvalidSampleRate, ErrDefectiveTrace) or, for admitted traces a
+// cancelled batch never reached, the context's error.
 type BatchItem struct {
 	Result *Result
 	Err    error
@@ -59,112 +59,55 @@ func (p *Pool) Workers() int { return p.ep.Workers() }
 // returned; otherwise the returned error is nil even if individual
 // traces failed.
 //
-// Traces violating the ingestion contract fail their item with
-// ErrDefectiveTrace; with WithConditioning they are repaired instead,
-// their segments processed across the pool's workers and re-merged so
-// items still map 1:1 onto traces (see Tracker.Process).
+// Every trace is admitted first, exactly as Tracker.Process admits it:
+// one violating the ingestion contract fails its item with
+// ErrDefectiveTrace (or ErrEmptyTrace / ErrInvalidSampleRate), even in
+// a cancelled batch; with WithConditioning it is repaired instead. The
+// admitted segments of all traces run across the pool's workers as one
+// flat batch and are folded back so items still map 1:1 onto traces.
 func (p *Pool) Process(ctx context.Context, traces []*Trace) ([]BatchItem, error) {
-	if p.cond != nil {
-		return p.processConditioned(ctx, traces)
+	type admitted struct {
+		start int // index of the first segment in the flat batch
+		segs  []*Trace
+		rep   *ConditionReport
+		err   error
 	}
-	// Defective traces are withheld from the engine (a nil slot keeps
-	// the index mapping) and fail their item with the validation error.
-	submit := traces
-	var verrs []error
-	for i, tr := range traces {
-		if validTrace(tr) != nil {
-			continue // the engine reports these; wrapBatchErr classifies
-		}
-		if err := tr.Validate(); err != nil {
-			if verrs == nil {
-				verrs = make([]error, len(traces))
-				submit = append([]*Trace(nil), traces...)
-			}
-			verrs[i] = err
-			submit[i] = nil
-		}
-	}
-	items, err := p.ep.Process(ctx, submit)
-	out := make([]BatchItem, len(items))
-	for i, it := range items {
-		werr := wrapBatchErr(traces[i], it.Err)
-		if verrs != nil && verrs[i] != nil && werr != nil &&
-			!errors.Is(werr, context.Canceled) && !errors.Is(werr, context.DeadlineExceeded) {
-			werr = fmt.Errorf("ptrack: %w: %v", ErrDefectiveTrace, verrs[i])
-		}
-		out[i] = BatchItem{Result: it.Result, Err: werr}
-	}
-	return out, err
-}
-
-// processConditioned conditions every trace, fans the resulting segments
-// out across the engine as one flat batch, then folds each trace's
-// segment results back into a single item.
-func (p *Pool) processConditioned(ctx context.Context, traces []*Trace) ([]BatchItem, error) {
-	type span struct {
-		start, n int // segment range in the flat batch
-		offs     []float64
-		rep      *ConditionReport
-		err      error
-	}
-	spans := make([]span, len(traces))
+	adm := make([]admitted, len(traces))
 	var flat []*Trace
 	for i, tr := range traces {
-		if tr == nil || len(tr.Samples) == 0 {
-			spans[i].err = fmt.Errorf("ptrack: %w", ErrEmptyTrace)
-			continue
-		}
-		segs, rep, err := condition.Condition(tr, *p.cond)
-		if err != nil {
-			spans[i].err = fmt.Errorf("ptrack: %w: %v", ErrDefectiveTrace, err)
-			continue
-		}
-		spans[i] = span{start: len(flat), n: len(segs), rep: rep}
-		t0 := segs[0].Samples[0].T
-		for _, seg := range segs {
-			spans[i].offs = append(spans[i].offs, seg.Samples[0].T-t0)
-			flat = append(flat, seg)
-		}
+		segs, rep, err := admit(tr, p.cond)
+		adm[i] = admitted{start: len(flat), segs: segs, rep: rep, err: err}
+		flat = append(flat, segs...)
 	}
 	items, err := p.ep.Process(ctx, flat)
 	out := make([]BatchItem, len(traces))
-	for i := range traces {
-		sp := &spans[i]
-		if sp.err != nil {
-			out[i] = BatchItem{Err: sp.err}
+	for i := range adm {
+		a := &adm[i]
+		if a.err != nil {
+			out[i].Err = a.err
 			continue
 		}
-		merged := &Result{Conditioning: sp.rep}
-		var segErr error
-		for j := 0; j < sp.n && segErr == nil; j++ {
-			it := items[sp.start+j]
+		results := make([]*Result, len(a.segs))
+		for j := range a.segs {
+			it := items[a.start+j]
 			if it.Err != nil {
-				segErr = wrapBatchErr(traces[i], it.Err)
-				continue
+				out[i].Err = wrapBatchErr(it.Err)
+				break
 			}
-			mergeResult(merged, it.Result, sp.offs[j], flat[sp.start+j].SampleRate)
+			results[j] = it.Result
 		}
-		if segErr != nil {
-			out[i] = BatchItem{Err: segErr}
-			continue
+		if out[i].Err == nil {
+			out[i].Result = fold(a.segs, results, a.rep)
 		}
-		out[i] = BatchItem{Result: merged}
 	}
 	return out, err
 }
 
-// wrapBatchErr maps a per-trace engine error onto the package's error
-// contract: context errors pass through, trace defects are classified
-// against the sentinels, anything else is wrapped as-is.
-func wrapBatchErr(tr *Trace, err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+// wrapBatchErr maps a per-segment engine error onto the package's error
+// contract: context errors pass through, anything else is wrapped.
+func wrapBatchErr(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return err
-	}
-	if verr := validTrace(tr); verr != nil {
-		return fmt.Errorf("ptrack: %w", verr)
 	}
 	return fmt.Errorf("ptrack: %w", err)
 }

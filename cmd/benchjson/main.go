@@ -8,15 +8,14 @@
 //
 //	go test . -run NONE -bench BenchmarkOnlineTracker -benchmem | \
 //	    benchjson -out BENCH_stream.json \
-//	    -max-ns-per-sample 664 -max-allocs-per-sample 0.75 -flat-within 0.20
+//	    -max ns/sample=664 -max allocs/sample=0.75 -flat-within 0.20
+//
+// Every benchmark reporting both allocs/op and samples/op also gets a
+// derived allocs/sample metric (allocs/op ÷ samples/op), which
+// normalises per-op allocation counts across trace lengths.
 //
 // Ceilings:
 //
-//	-max-ns-per-sample N    every benchmark reporting an ns/sample metric
-//	                        must stay at or below N.
-//	-max-allocs-per-sample N  allocs/op divided by samples/op must stay at
-//	                        or below N (normalises per-op allocation counts
-//	                        across trace lengths).
 //	-flat-within F          across all benchmarks reporting ns/sample, the
 //	                        spread (max-min)/min must stay at or below F —
 //	                        the flat-scaling check for the incremental
@@ -24,6 +23,7 @@
 //	                        benchmarks).
 //	-max METRIC=N           generic repeatable ceiling: every benchmark
 //	                        reporting METRIC (any unit string, e.g.
+//	                        "ns/sample", "allocs/sample",
 //	                        "bytes/session", "ns/op") must stay at or
 //	                        below N. Benchmarks not reporting METRIC are
 //	                        unaffected.
@@ -129,12 +129,10 @@ type Report struct {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		out            = fs.String("out", "", "write the JSON report to this file (default stdout)")
-		maxNsPerSample = fs.Float64("max-ns-per-sample", 0, "ceiling on the ns/sample metric (0 disables)")
-		maxAllocsPerSm = fs.Float64("max-allocs-per-sample", 0, "ceiling on allocs/op ÷ samples/op (0 disables)")
-		flatWithin     = fs.Float64("flat-within", 0, "max relative ns/sample spread across benchmarks (0 disables)")
-		baselineFile   = fs.String("baseline", "", "committed benchjson report to compare ns/sample against")
-		regressWithin  = fs.Float64("regress-within", 0, "max relative ns/sample regression vs -baseline (0 disables)")
+		out           = fs.String("out", "", "write the JSON report to this file (default stdout)")
+		flatWithin    = fs.Float64("flat-within", 0, "max relative ns/sample spread across benchmarks (0 disables)")
+		baselineFile  = fs.String("baseline", "", "committed benchjson report to compare ns/sample against")
+		regressWithin = fs.Float64("regress-within", 0, "max relative ns/sample regression vs -baseline (0 disables)")
 	)
 	maxes := maxFlags{}
 	fs.Var(maxes, "max", "repeatable METRIC=N ceiling on any reported metric")
@@ -173,12 +171,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	report.Ceilings = map[string]float64{}
-	if *maxNsPerSample > 0 {
-		report.Ceilings["max-ns-per-sample"] = *maxNsPerSample
-	}
-	if *maxAllocsPerSm > 0 {
-		report.Ceilings["max-allocs-per-sample"] = *maxAllocsPerSm
-	}
 	if *flatWithin > 0 {
 		report.Ceilings["flat-within"] = *flatWithin
 	}
@@ -214,7 +206,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := checkRequired(report, requires); err != nil {
 		return err
 	}
-	return enforce(report, baseline, maxes, mins, *maxNsPerSample, *maxAllocsPerSm, *flatWithin, *regressWithin)
+	return enforce(report, baseline, maxes, mins, *flatWithin, *regressWithin)
 }
 
 // requireFlags collects repeatable -require METRIC names.
@@ -291,9 +283,14 @@ func parse(r io.Reader) (*Report, error) {
 			}
 			b.Metrics[fields[i+1]] = v
 		}
-		if ok {
-			report.Benchmarks = append(report.Benchmarks, b)
+		if !ok {
+			continue
 		}
+		allocs, hasAllocs := b.Metrics["allocs/op"]
+		if samples := b.Metrics["samples/op"]; hasAllocs && samples > 0 {
+			b.Metrics["allocs/sample"] = allocs / samples
+		}
+		report.Benchmarks = append(report.Benchmarks, b)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -301,7 +298,7 @@ func parse(r io.Reader) (*Report, error) {
 	return report, nil
 }
 
-func enforce(report, baseline *Report, maxes maxFlags, mins minFlags, maxNsPerSample, maxAllocsPerSample, flatWithin, regressWithin float64) error {
+func enforce(report, baseline *Report, maxes maxFlags, mins minFlags, flatWithin, regressWithin float64) error {
 	var failures []string
 	baseNs := map[string]float64{}
 	if baseline != nil && regressWithin > 0 {
@@ -328,29 +325,17 @@ func enforce(report, baseline *Report, maxes maxFlags, mins minFlags, maxNsPerSa
 				sampleMax = ns
 			}
 			nSampled++
-			if maxNsPerSample > 0 && ns > maxNsPerSample {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.1f ns/sample exceeds ceiling %.1f", b.Name, ns, maxNsPerSample))
-			}
-		}
-		allocs, hasAllocs := b.Metrics["allocs/op"]
-		samples, hasSamples := b.Metrics["samples/op"]
-		if maxAllocsPerSample > 0 && hasAllocs && hasSamples && samples > 0 {
-			if per := allocs / samples; per > maxAllocsPerSample {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.3f allocs/sample exceeds ceiling %.3f", b.Name, per, maxAllocsPerSample))
-			}
 		}
 		for _, metric := range sortedKeys(maxes) {
 			if v, ok := b.Metrics[metric]; ok && v > maxes[metric] {
 				failures = append(failures, fmt.Sprintf(
-					"%s: %.1f %s exceeds ceiling %.1f", b.Name, v, metric, maxes[metric]))
+					"%s: %g %s exceeds ceiling %g", b.Name, v, metric, maxes[metric]))
 			}
 		}
 		for _, metric := range sortedKeys(maxFlags(mins)) {
 			if v, ok := b.Metrics[metric]; ok && v < mins[metric] {
 				failures = append(failures, fmt.Sprintf(
-					"%s: %.1f %s below floor %.1f", b.Name, v, metric, mins[metric]))
+					"%s: %g %s below floor %g", b.Name, v, metric, mins[metric]))
 			}
 		}
 	}

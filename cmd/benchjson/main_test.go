@@ -34,11 +34,21 @@ func TestParse(t *testing.T) {
 	if b.Metrics["ns/sample"] != 513.1 || b.Metrics["allocs/op"] != 2265 {
 		t.Errorf("metrics = %+v", b.Metrics)
 	}
+	// allocs/sample is derived wherever allocs/op and samples/op are both
+	// reported, and only there.
+	if got, want := b.Metrics["allocs/sample"], 2265.0/6000; got != want {
+		t.Errorf("derived allocs/sample = %v, want %v", got, want)
+	}
+	noSamples, _ := parse(strings.NewReader("BenchmarkX 	 10	 100 ns/op	 3 allocs/op\n"))
+	if _, ok := noSamples.Benchmarks[0].Metrics["allocs/sample"]; ok {
+		t.Error("allocs/sample derived without samples/op")
+	}
 }
 
 func TestEnforcePasses(t *testing.T) {
 	report, _ := parse(strings.NewReader(sampleOutput))
-	if err := enforce(report, nil, nil, nil, 664, 0.75, 0.20, 0); err != nil {
+	ceilings := maxFlags{"ns/sample": 664, "allocs/sample": 0.75}
+	if err := enforce(report, nil, ceilings, nil, 0.20, 0); err != nil {
 		t.Errorf("ceilings should pass: %v", err)
 	}
 }
@@ -46,16 +56,17 @@ func TestEnforcePasses(t *testing.T) {
 func TestEnforceCatchesViolations(t *testing.T) {
 	report, _ := parse(strings.NewReader(sampleOutput))
 	cases := []struct {
-		name             string
-		ns, allocs, flat float64
-		wantFragment     string
+		name         string
+		maxes        maxFlags
+		flat         float64
+		wantFragment string
 	}{
-		{"ns-per-sample", 500, 0, 0, "ns/sample exceeds"},
-		{"allocs-per-sample", 0, 0.3, 0, "allocs/sample exceeds"},
-		{"flat-within", 0, 0, 0.01, "spread"},
+		{"ns-per-sample", maxFlags{"ns/sample": 500}, 0, "ns/sample exceeds"},
+		{"allocs-per-sample", maxFlags{"allocs/sample": 0.3}, 0, "allocs/sample exceeds"},
+		{"flat-within", nil, 0.01, "spread"},
 	}
 	for _, c := range cases {
-		err := enforce(report, nil, nil, nil, c.ns, c.allocs, c.flat, 0)
+		err := enforce(report, nil, c.maxes, nil, c.flat, 0)
 		if err == nil || !strings.Contains(err.Error(), c.wantFragment) {
 			t.Errorf("%s: err = %v, want fragment %q", c.name, err, c.wantFragment)
 		}
@@ -65,7 +76,7 @@ func TestEnforceCatchesViolations(t *testing.T) {
 func TestEnforceFlatNeedsTwo(t *testing.T) {
 	report, _ := parse(strings.NewReader(`BenchmarkX 	 10	 100 ns/op	 5.0 ns/sample
 `))
-	if err := enforce(report, nil, nil, nil, 0, 0, 0.2, 0); err == nil {
+	if err := enforce(report, nil, nil, nil, 0.2, 0); err == nil {
 		t.Error("flat-within with one benchmark should fail")
 	}
 }
@@ -78,10 +89,10 @@ func TestEnforceBaselineRegression(t *testing.T) {
 		{Name: "BenchmarkUnrelated", Metrics: map[string]float64{"ns/sample": 1}},
 	}}
 	// 513.1 vs 500 is a 2.6% regression: passes a 5% gate, fails a 1% one.
-	if err := enforce(report, baseline, nil, nil, 0, 0, 0, 0.05); err != nil {
+	if err := enforce(report, baseline, nil, nil, 0, 0.05); err != nil {
 		t.Errorf("2.6%% regression should pass a 5%% gate: %v", err)
 	}
-	err := enforce(report, baseline, nil, nil, 0, 0, 0, 0.01)
+	err := enforce(report, baseline, nil, nil, 0, 0.01)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
 		t.Errorf("2.6%% regression past a 1%% gate: err = %v, want regression failure", err)
 	}
@@ -90,7 +101,7 @@ func TestEnforceBaselineRegression(t *testing.T) {
 	fresh := &Report{Benchmarks: []Benchmark{
 		{Name: "BenchmarkSomethingElse", Metrics: map[string]float64{"ns/sample": 1}},
 	}}
-	if err := enforce(report, fresh, nil, nil, 0, 0, 0, 0.01); err != nil {
+	if err := enforce(report, fresh, nil, nil, 0, 0.01); err != nil {
 		t.Errorf("baseline without matching names should pass: %v", err)
 	}
 }
@@ -106,10 +117,10 @@ BenchmarkSnapshot/full 	 50000	 22064 ns/op	 59499 bytes/session	 1912 B/op	 8 a
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enforce(report, nil, maxFlags{"bytes/session": 65536, "ns/op": 1e6}, nil, 0, 0, 0, 0); err != nil {
+	if err := enforce(report, nil, maxFlags{"bytes/session": 65536, "ns/op": 1e6}, nil, 0, 0); err != nil {
 		t.Errorf("generous generic ceilings should pass: %v", err)
 	}
-	err = enforce(report, nil, maxFlags{"bytes/session": 58000}, nil, 0, 0, 0, 0)
+	err = enforce(report, nil, maxFlags{"bytes/session": 58000}, nil, 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "bytes/session exceeds") {
 		t.Errorf("bytes ceiling: err = %v, want bytes/session violation", err)
 	}
@@ -118,7 +129,7 @@ BenchmarkSnapshot/full 	 50000	 22064 ns/op	 59499 bytes/session	 1912 B/op	 8 a
 		t.Errorf("benchmark under the ceiling flagged: %v", err)
 	}
 	// A metric no benchmark reports never trips.
-	if err := enforce(report, nil, maxFlags{"widgets/op": 1}, nil, 0, 0, 0, 0); err != nil {
+	if err := enforce(report, nil, maxFlags{"widgets/op": 1}, nil, 0, 0); err != nil {
 		t.Errorf("absent metric should not trip: %v", err)
 	}
 
@@ -183,19 +194,19 @@ BenchmarkIdleSessionFootprint 	 1	 1117400041 ns/op	 32549 bytes/idle-session	 3
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enforce(report, nil, nil, minFlags{"sessions-per-GB": 20000}, 0, 0, 0, 0); err != nil {
+	if err := enforce(report, nil, nil, minFlags{"sessions-per-GB": 20000}, 0, 0); err != nil {
 		t.Errorf("generous floor should pass: %v", err)
 	}
-	err = enforce(report, nil, nil, minFlags{"sessions-per-GB": 40000}, 0, 0, 0, 0)
+	err = enforce(report, nil, nil, minFlags{"sessions-per-GB": 40000}, 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "below floor") {
 		t.Errorf("floor violation: err = %v, want below-floor failure", err)
 	}
 	// A metric no benchmark reports never trips.
-	if err := enforce(report, nil, nil, minFlags{"widgets/op": 1}, 0, 0, 0, 0); err != nil {
+	if err := enforce(report, nil, nil, minFlags{"widgets/op": 1}, 0, 0); err != nil {
 		t.Errorf("absent metric should not trip: %v", err)
 	}
 	// Floors and ceilings compose on the same run.
-	if err := enforce(report, nil, maxFlags{"bytes/idle-session": 40000}, minFlags{"sessions-per-GB": 20000}, 0, 0, 0, 0); err != nil {
+	if err := enforce(report, nil, maxFlags{"bytes/idle-session": 40000}, minFlags{"sessions-per-GB": 20000}, 0, 0); err != nil {
 		t.Errorf("composed gates should pass: %v", err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"regexp"
 	"testing"
@@ -139,6 +140,91 @@ func TestPoolDefectiveTrace(t *testing.T) {
 	want := items[0].Result.Steps
 	if got := items[1].Result.Steps; got < want*7/10 || got > want*13/10 {
 		t.Errorf("conditioned batch steps %d not within ±30%% of clean %d", got, want)
+	}
+}
+
+// Tracker.Process and the pool admit, process and fold a trace through
+// the same path, so for every input — clean, faulty, split by a long
+// gap, empty, or with an unusable rate — both must return identical
+// results or the same refusal, with and without conditioning.
+func TestTrackerPoolParity(t *testing.T) {
+	rec := walkingRecording(t, 60)
+	gapped := &Trace{SampleRate: rec.Trace.SampleRate, Samples: append([]Sample(nil), rec.Trace.Samples...)}
+	for i := len(gapped.Samples) / 2; i < len(gapped.Samples); i++ {
+		gapped.Samples[i].T += 5 // an unbridgeable gap: two segments
+	}
+	inputs := map[string]*Trace{
+		"clean":      rec.Trace,
+		"faults-0.5": gaitsim.InjectFaults(rec.Trace, gaitsim.FaultsAtSeverity(0.5, 41)),
+		"faults-1":   gaitsim.InjectFaults(rec.Trace, gaitsim.FaultsAtSeverity(1, 43)),
+		"gap":        gapped,
+		"nil":        nil,
+		"nan-rate":   {SampleRate: math.NaN(), Samples: rec.Trace.Samples},
+	}
+	names := make([]string, 0, len(inputs))
+	traces := make([]*Trace, 0, len(inputs))
+	for name, tr := range inputs {
+		names = append(names, name)
+		traces = append(traces, tr)
+	}
+	sentinels := []error{ErrEmptyTrace, ErrInvalidSampleRate, ErrDefectiveTrace}
+	p := DefaultSimProfile()
+	for _, conditioned := range []bool{false, true} {
+		opts := []Option{WithProfile(p.ArmLength, p.LegLength, p.K)}
+		if conditioned {
+			opts = append(opts, WithConditioning())
+		}
+		tk, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := BatchProcess(context.Background(), traces, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range names {
+			want, werr := tk.Process(traces[i])
+			got := items[i]
+			if !reflect.DeepEqual(got.Result, want) {
+				t.Errorf("conditioned=%v %s: pool result differs from Tracker.Process", conditioned, name)
+			}
+			if (werr == nil) != (got.Err == nil) {
+				t.Errorf("conditioned=%v %s: Tracker err %v, pool err %v", conditioned, name, werr, got.Err)
+				continue
+			}
+			for _, s := range sentinels {
+				if errors.Is(werr, s) != errors.Is(got.Err, s) {
+					t.Errorf("conditioned=%v %s: sentinel %v: Tracker err %v, pool err %v",
+						conditioned, name, s, werr, got.Err)
+				}
+			}
+		}
+	}
+}
+
+// Admission refusals do not depend on the batch running: a cancelled
+// batch still reports each refused trace's own sentinel, with or
+// without conditioning.
+func TestCancelledBatchReportsAdmissionRefusals(t *testing.T) {
+	rec := walkingRecording(t, 10)
+	defective := gaitsim.InjectFaults(rec.Trace, gaitsim.FaultsAtSeverity(0.5, 29))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opts := range [][]Option{nil, {WithConditioning()}} {
+		items, err := BatchProcess(ctx, []*Trace{rec.Trace, nil}, opts...)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if !errors.Is(items[0].Err, context.Canceled) {
+			t.Errorf("admitted trace: got %v, want context.Canceled", items[0].Err)
+		}
+		if !errors.Is(items[1].Err, ErrEmptyTrace) {
+			t.Errorf("nil trace: got %v, want ErrEmptyTrace", items[1].Err)
+		}
+	}
+	items, _ := BatchProcess(ctx, []*Trace{defective})
+	if !errors.Is(items[0].Err, ErrDefectiveTrace) {
+		t.Errorf("defective trace: got %v, want ErrDefectiveTrace", items[0].Err)
 	}
 }
 

@@ -39,9 +39,6 @@ var (
 	ErrSessionQueueFull = engine.ErrQueueFull
 	// ErrHubClosed reports a Push on a closed SessionHub.
 	ErrHubClosed = engine.ErrHubClosed
-	// ErrSessionLimit reports a Push that would exceed the hub's
-	// MaxSessions with no idle session available to evict.
-	ErrSessionLimit = engine.ErrSessionLimit
 )
 
 // validTrace classifies a trace against the sentinel contract. It

@@ -39,16 +39,6 @@ func Pearson(a, b []float64) float64 {
 	return sab / math.Sqrt(saa*sbb)
 }
 
-// HalfCycleCorrelation computes the paper's stepping test statistic C
-// (§III-B1): the auto-correlation of one gait cycle's anterior acceleration
-// at half the cycle length. A stepping gait repeats its (co)sine-like
-// pattern twice per cycle (left and right step), so C is large and
-// positive; back-and-forth arm gestures flip phase at the half cycle,
-// driving C negative.
-func HalfCycleCorrelation(cycle []float64) float64 {
-	return AutoCorrAt(cycle, len(cycle)/2)
-}
-
 // CrossCorrBestLag searches lags in [-maxLag, maxLag] and returns the lag
 // that maximises the normalised cross-correlation between a and b, together
 // with that correlation value. Positive lag means b is delayed relative to

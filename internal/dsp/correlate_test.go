@@ -44,14 +44,23 @@ func TestAutoCorrPeriodicSignal(t *testing.T) {
 	}
 }
 
+// The paper's stepping test statistic C (§III-B1) is the auto-correlation
+// of one gait cycle at half the cycle length, which gaitid evaluates on
+// a LagCorrelator.
 func TestHalfCycleCorrelation(t *testing.T) {
+	var k LagCorrelator
+	halfCycleC := func(cycle []float64) float64 {
+		k.ResetAuto(cycle)
+		c, _ := k.At(len(cycle) / 2)
+		return c
+	}
 	// Signal repeating twice within the window: strongly positive C, the
 	// paper's stepping signature.
 	cycle := make([]float64, 100)
 	for i := range cycle {
 		cycle[i] = math.Sin(2 * math.Pi * 2 * float64(i) / 100) // 2 periods in window
 	}
-	if c := HalfCycleCorrelation(cycle); c < 0.9 {
+	if c := halfCycleC(cycle); c < 0.9 {
 		t.Errorf("stepping-like C = %v, want ~1", c)
 	}
 	// Single period: second half is the mirror of the first -> strongly
@@ -59,7 +68,7 @@ func TestHalfCycleCorrelation(t *testing.T) {
 	for i := range cycle {
 		cycle[i] = math.Sin(2 * math.Pi * float64(i) / 100)
 	}
-	if c := HalfCycleCorrelation(cycle); c > -0.9 {
+	if c := halfCycleC(cycle); c > -0.9 {
 		t.Errorf("gesture-like C = %v, want ~-1", c)
 	}
 }

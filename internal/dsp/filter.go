@@ -262,33 +262,6 @@ func FiltFiltTo(dst, x []float64, f *Biquad) []float64 {
 	return dst
 }
 
-// MovingAverage smooths x with a centred window of the given odd width.
-// Edges use a shrunken window. width < 2 returns a copy.
-func MovingAverage(x []float64, width int) []float64 {
-	out := make([]float64, len(x))
-	if width < 2 {
-		copy(out, x)
-		return out
-	}
-	half := width / 2
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi > len(x)-1 {
-			hi = len(x) - 1
-		}
-		s := 0.0
-		for j := lo; j <= hi; j++ {
-			s += x[j]
-		}
-		out[i] = s / float64(hi-lo+1)
-	}
-	return out
-}
-
 // Reverse reverses x in place.
 func Reverse(x []float64) {
 	for i, j := 0, len(x)-1; i < j; i, j = i+1, j-1 {

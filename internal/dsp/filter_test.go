@@ -163,24 +163,6 @@ func argmax(x []float64) int {
 	return bi
 }
 
-func TestMovingAverage(t *testing.T) {
-	x := []float64{0, 0, 9, 0, 0}
-	y := MovingAverage(x, 3)
-	want := []float64{0, 3, 3, 3, 0}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Errorf("y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-	// width < 2 copies.
-	y1 := MovingAverage(x, 1)
-	for i := range x {
-		if y1[i] != x[i] {
-			t.Fatal("width 1 should copy")
-		}
-	}
-}
-
 func TestDetrendRemovesLine(t *testing.T) {
 	n := 100
 	x := make([]float64, n)

@@ -7,20 +7,16 @@ type Extremum struct {
 	Max   bool    // true for a local maximum, false for a minimum
 }
 
-// LocalExtrema finds all strict local maxima and minima of x. Plateaus are
-// reported once at their centre sample. The endpoints are never reported.
-func LocalExtrema(x []float64) []Extremum {
-	return appendLocalExtrema(nil, x)
-}
-
-// appendLocalExtrema is LocalExtrema appending into out, so hot loops can
-// recycle the slice. Instead of the naive three-point test at every
-// position, the scan skips whole monotone runs — between two direction
-// changes each interior sample costs one load, one comparison and one
-// increment, and the extremum logic only runs at run boundaries. On the
-// low-passed signals the tracker re-scans every peak cycle, runs are tens
-// of samples long, which makes this the cheapest form of the scan that
-// still reports identical results. Equivalence with the naive test is
+// appendLocalExtrema appends every strict local maximum and minimum of x
+// to out, so hot loops can recycle the slice. Plateaus are reported once
+// at their centre sample; the endpoints are never reported. Instead of
+// the naive three-point test at every position, the scan skips whole
+// monotone runs — between two direction changes each interior sample
+// costs one load, one comparison and one increment, and the extremum
+// logic only runs at run boundaries. On the low-passed signals the
+// tracker re-scans every peak cycle, runs are tens of samples long,
+// which makes this the cheapest form of the scan that still reports
+// identical results. Equivalence with the naive test is
 // pinned by TestAppendLocalExtremaMatchesReference and FuzzLocalExtrema,
 // including the awkward cases: plateaus (reported once at their centre),
 // NaN runs (no extremum touches a NaN — every comparison is false, which

@@ -9,7 +9,7 @@ import (
 
 func TestLocalExtremaSimple(t *testing.T) {
 	x := []float64{0, 1, 0, -1, 0, 2, 0}
-	ext := LocalExtrema(x)
+	ext := appendLocalExtrema(nil, x)
 	want := []Extremum{
 		{Index: 1, Value: 1, Max: true},
 		{Index: 3, Value: -1, Max: false},
@@ -22,7 +22,7 @@ func TestLocalExtremaSimple(t *testing.T) {
 
 func TestLocalExtremaPlateau(t *testing.T) {
 	x := []float64{0, 2, 2, 2, 0}
-	ext := LocalExtrema(x)
+	ext := appendLocalExtrema(nil, x)
 	if len(ext) != 1 || !ext[0].Max || ext[0].Index != 2 {
 		t.Errorf("plateau extrema = %+v", ext)
 	}
@@ -30,10 +30,10 @@ func TestLocalExtremaPlateau(t *testing.T) {
 
 func TestLocalExtremaEdgesIgnored(t *testing.T) {
 	// Monotone signals have no interior extrema.
-	if ext := LocalExtrema([]float64{1, 2, 3, 4}); len(ext) != 0 {
+	if ext := appendLocalExtrema(nil, []float64{1, 2, 3, 4}); len(ext) != 0 {
 		t.Errorf("monotone gave %+v", ext)
 	}
-	if ext := LocalExtrema([]float64{1, 2}); len(ext) != 0 {
+	if ext := appendLocalExtrema(nil, []float64{1, 2}); len(ext) != 0 {
 		t.Errorf("short gave %+v", ext)
 	}
 }

@@ -24,9 +24,6 @@ var (
 	// is full; the sample is dropped (and counted) rather than blocking
 	// the caller.
 	ErrQueueFull = errors.New("engine: session queue full")
-	// ErrSessionLimit is returned by Push when MaxSessions is reached
-	// and no idle session could be evicted to make room.
-	ErrSessionLimit = errors.New("engine: session limit reached")
 )
 
 // HubConfig tunes a session hub. StreamConfig is the template every
@@ -42,28 +39,21 @@ type HubConfig struct {
 	// long (their tracker is flushed first). Default 2 minutes; negative
 	// disables eviction.
 	IdleTimeout time.Duration
-	// MaxSessions caps concurrently live sessions. When the cap is hit,
-	// Push for a new session first tries to evict the longest-idle
-	// session; if every session is busy it fails with ErrSessionLimit.
-	// Default 0: unlimited.
-	MaxSessions int
 	// OnEvent receives every classification event, tagged with its
-	// session ID. It is called from per-session goroutines, so it must
-	// be safe for concurrent use. Nil discards events (the hub is then
-	// only useful for its side metrics, e.g. load testing).
-	OnEvent func(session string, ev stream.Event)
-	// OnEventCtx, when set, takes precedence over OnEvent and
-	// additionally receives the span context of the event.emit span the
-	// event was emitted under (the zero SpanContext when the session's
-	// trace is unsampled or tracing is off). This is how the serving
-	// layer's SSE broker parents its sse.deliver spans on the pipeline.
-	OnEventCtx func(session string, ev stream.Event, sc tracing.SpanContext)
+	// session ID and the span context of the event.emit span it was
+	// emitted under (the zero SpanContext when the session's trace is
+	// unsampled or tracing is off). This is how the serving layer's SSE
+	// broker parents its sse.deliver spans on the pipeline. It is called
+	// from per-session goroutines, so it must be safe for concurrent
+	// use. Nil discards events (the hub is then only useful for its side
+	// metrics, e.g. load testing).
+	OnEvent func(session string, ev stream.Event, sc tracing.SpanContext)
 	// OnSessionEnd is called once per session, from the session's
 	// goroutine, after its trailing (flush) events have been delivered —
-	// whether the session left via End, idle eviction, LRU eviction or
-	// Close. It lets fan-out layers (e.g. the HTTP serving layer's SSE
-	// broker) terminate downstream streams only after every event is
-	// out. Must be safe for concurrent use; nil disables it.
+	// whether the session left via End, Evict, idle eviction or Close.
+	// It lets fan-out layers (e.g. the HTTP serving layer's SSE broker)
+	// terminate downstream streams only after every event is out. Must
+	// be safe for concurrent use; nil disables it.
 	OnSessionEnd func(session string)
 	// Hooks receives the hub metrics (sessions-active gauge, queue-drop
 	// counter) in addition to the per-tracker stream metrics carried by
@@ -101,6 +91,9 @@ func (c HubConfig) withDefaults() HubConfig {
 	}
 	if c.now == nil {
 		c.now = time.Now
+	}
+	if c.OnEvent == nil {
+		c.OnEvent = func(string, stream.Event, tracing.SpanContext) {}
 	}
 	return c
 }
@@ -272,12 +265,6 @@ func (h *Hub) PushBlock(id string, samples []trace.Sample) (int, error) {
 	}
 	sess = h.sessions[id]
 	if sess == nil {
-		if h.cfg.MaxSessions > 0 && len(h.sessions) >= h.cfg.MaxSessions {
-			if !h.evictIdlestLocked() {
-				h.mu.Unlock()
-				return 0, fmt.Errorf("%w (%d live)", ErrSessionLimit, h.cfg.MaxSessions)
-			}
-		}
 		sess = h.startSessionLocked(id)
 	}
 	n, err := h.enqueueBlock(sess, samples)
@@ -383,7 +370,7 @@ func (h *Hub) run(sess *session) {
 		sess.events.Add(int64(len(evs)))
 		for _, ev := range evs {
 			if !parent.Sampled() {
-				h.dispatch(sess.id, ev, tracing.SpanContext{})
+				h.cfg.OnEvent(sess.id, ev, tracing.SpanContext{})
 				continue
 			}
 			span := tracer.StartAt(parent, "event.emit", time.Time{})
@@ -394,7 +381,7 @@ func (h *Hub) run(sess *session) {
 				tracing.Int("event.steps_added", int64(ev.StepsAdded)),
 				tracing.Int("event.total_steps", int64(ev.TotalSteps)),
 			)
-			h.dispatch(sess.id, ev, span.Context())
+			h.cfg.OnEvent(sess.id, ev, span.Context())
 			span.End()
 		}
 	}
@@ -505,39 +492,11 @@ func (h *Hub) run(sess *session) {
 	h.cfg.Hooks.SessionClosed()
 }
 
-// dispatch routes one event to OnEventCtx (preferred) or OnEvent.
-func (h *Hub) dispatch(id string, ev stream.Event, sc tracing.SpanContext) {
-	if h.cfg.OnEventCtx != nil {
-		h.cfg.OnEventCtx(id, ev, sc)
-		return
-	}
-	if h.cfg.OnEvent != nil {
-		h.cfg.OnEvent(id, ev)
-	}
-}
-
 // removeLocked detaches a session and closes its queue; the session
 // goroutine then flushes and exits. Callers hold the write lock.
 func (h *Hub) removeLocked(sess *session) {
 	delete(h.sessions, sess.id)
 	close(sess.ch)
-}
-
-// evictIdlestLocked evicts the longest-idle session. It reports false
-// when there is none to evict.
-func (h *Hub) evictIdlestLocked() bool {
-	var victim *session
-	var oldest time.Time
-	for _, s := range h.sessions {
-		if t := s.seen(); victim == nil || t.Before(oldest) {
-			victim, oldest = s, t
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	h.removeLocked(victim)
-	return true
 }
 
 // janitor periodically evicts sessions idle for longer than IdleTimeout.

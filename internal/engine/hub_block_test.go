@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ptrack/internal/obs/tracing"
 	"ptrack/internal/stream"
 	"ptrack/internal/trace"
 )
@@ -64,7 +65,7 @@ func TestHubPushBlockEquivalence(t *testing.T) {
 	var mu sync.Mutex
 	events := make(map[string][]stream.Event)
 	cfg := hubConfig(tr)
-	cfg.OnEvent = func(session string, ev stream.Event) {
+	cfg.OnEvent = func(session string, ev stream.Event, _ tracing.SpanContext) {
 		mu.Lock()
 		events[session] = append(events[session], ev)
 		mu.Unlock()

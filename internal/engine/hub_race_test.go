@@ -3,84 +3,24 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ptrack/internal/obs"
 )
 
-// TestHubLRUEvictionOrder pins the MaxSessions eviction policy: at the
-// cap, a push for a new session evicts the longest-idle session, whose
-// trailing events are flushed and whose OnSessionEnd fires before the
-// new session is admitted — the session limit never rejects while an
-// idle victim exists.
-func TestHubLRUEvictionOrder(t *testing.T) {
-	tr := walkingTrace(t, 2)
-
-	clock := time.Unix(0, 0)
-	ended := make(chan string, 8)
-	cfg := hubConfig(tr)
-	cfg.MaxSessions = 2
-	cfg.IdleTimeout = -1 // no janitor; only LRU eviction may remove sessions
-	cfg.OnSessionEnd = func(id string) { ended <- id }
-	cfg.now = func() time.Time { return clock }
-	h, err := NewHub(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	s := tr.Samples[0]
-	push := func(id string, at time.Duration) {
-		t.Helper()
-		clock = time.Unix(0, 0).Add(at)
-		if err := h.Push(id, s); err != nil {
-			t.Fatalf("push %s: %v", id, err)
-		}
-	}
-	waitEnd := func(want string) {
-		t.Helper()
-		select {
-		case got := <-ended:
-			if got != want {
-				t.Fatalf("evicted session = %q, want %q", got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("session %q was not ended", want)
-		}
-	}
-
-	push("a", 1*time.Second)
-	push("b", 2*time.Second)
-	if got := h.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-
-	// "a" is the idlest: admitting "c" must evict it.
-	push("c", 3*time.Second)
-	waitEnd("a")
-	if got := h.Len(); got != 2 {
-		t.Fatalf("Len after eviction = %d, want 2", got)
-	}
-
-	// Re-admitting "a" must now evict "b" (idlest of {b@2s, c@3s}).
-	push("a", 4*time.Second)
-	waitEnd("b")
-	if got := h.Len(); got != 2 {
-		t.Fatalf("Len after second eviction = %d, want 2", got)
-	}
-}
-
-// TestHubConcurrentEvictionAndDropAccounting hammers a capped hub from
-// concurrent pushers (more distinct sessions than MaxSessions, tiny
-// queues) and checks the accounting invariants that back the serving
-// layer's backpressure responses: every ErrQueueFull seen by a caller
-// is counted by the drop metric, the live-session cap holds throughout,
-// and after Close the active-sessions gauge returns to zero with
-// OnSessionEnd fired exactly once per opened session. Run under -race
-// via `make race`, this doubles as the hub's data-race regression test.
+// TestHubConcurrentEvictionAndDropAccounting hammers a hub from
+// concurrent pushers (tiny queues, so pushers outrun the DSP) while a
+// goroutine keeps evicting their sessions, so removal races enqueue and
+// evicted sessions are re-created by the next push. It checks the
+// accounting invariants that back the serving layer's backpressure
+// responses: every ErrQueueFull seen by a caller is counted by the drop
+// metric, and after Close the active-sessions gauge returns to zero
+// with OnSessionEnd fired exactly once per opened session. Run under
+// -race via `make race`, this doubles as the hub's data-race
+// regression test.
 func TestHubConcurrentEvictionAndDropAccounting(t *testing.T) {
 	tr := walkingTrace(t, 5)
 
@@ -89,7 +29,6 @@ func TestHubConcurrentEvictionAndDropAccounting(t *testing.T) {
 	var sessionEnds atomic.Int64
 	cfg := hubConfig(tr)
 	cfg.Hooks = hooks
-	cfg.MaxSessions = 4
 	cfg.QueueSize = 8 // small enough that pushers outrun the DSP
 	cfg.IdleTimeout = -1
 	cfg.OnSessionEnd = func(string) { sessionEnds.Add(1) }
@@ -99,45 +38,58 @@ func TestHubConcurrentEvictionAndDropAccounting(t *testing.T) {
 	}
 
 	const pushers = 16
+	id := func(i int) string { return fmt.Sprintf("user-%d", i%pushers) }
+
+	// The evictor removes sessions round-robin until the pushers finish.
+	// Pushers wait at their halfway mark for its first eviction, so at
+	// least one removal provably races the remaining pushes.
+	var evicted atomic.Int64
+	firstEvict := make(chan struct{})
+	stop, evictorDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(evictorDone)
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if h.Evict(id(k)) {
+				if evicted.Add(1) == 1 {
+					close(firstEvict)
+				}
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
-	var callerDrops, limitRejects atomic.Int64
-	capViolations := make(chan int, 1)
+	var callerDrops atomic.Int64
 	for i := 0; i < pushers; i++ {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			for _, s := range tr.Samples {
+			for j, s := range tr.Samples {
+				if j == len(tr.Samples)/2 {
+					<-firstEvict
+				}
 				switch err := h.Push(id, s); {
 				case err == nil:
 				case errors.Is(err, ErrQueueFull):
 					callerDrops.Add(1)
-				case errors.Is(err, ErrSessionLimit):
-					limitRejects.Add(1)
 				default:
 					t.Errorf("session %s: %v", id, err)
 					return
 				}
-				if n := h.Len(); n > cfg.MaxSessions {
-					select {
-					case capViolations <- n:
-					default:
-					}
-					return
-				}
 			}
-		}(fmt.Sprintf("user-%d", i))
+		}(id(i))
 	}
 	wg.Wait()
-	select {
-	case n := <-capViolations:
-		t.Fatalf("live sessions reached %d, cap is %d", n, cfg.MaxSessions)
-	default:
-	}
-	// With a victim always available, the cap must evict, not reject.
-	if n := limitRejects.Load(); n != 0 {
-		t.Errorf("got %d ErrSessionLimit rejections, want 0 (LRU eviction should make room)", n)
-	}
+	close(stop)
+	<-evictorDone
 
+	live := h.Len()
 	h.Close()
 
 	dropped := reg.Counter("ptrack_session_dropped_samples_total", "")
@@ -151,8 +103,11 @@ func TestHubConcurrentEvictionAndDropAccounting(t *testing.T) {
 	if got := active.Value(); got != 0 {
 		t.Errorf("active-sessions gauge = %v after Close, want 0", got)
 	}
-	if got := sessionEnds.Load(); got < int64(cfg.MaxSessions) {
-		t.Errorf("OnSessionEnd fired %d times, want >= %d", got, cfg.MaxSessions)
+	// Every opened session ended exactly once: either by a successful
+	// Evict or, still live at the end, by Close.
+	if got, want := sessionEnds.Load(), evicted.Load()+int64(live); got != want {
+		t.Errorf("OnSessionEnd fired %d times, want %d (%d evicted + %d live at Close)",
+			got, want, evicted.Load(), live)
 	}
 
 	// Post-Close pushes must fail closed, not hang or panic.

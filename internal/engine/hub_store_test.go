@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ptrack/internal/obs"
+	"ptrack/internal/obs/tracing"
 	"ptrack/internal/statecodec"
 	"ptrack/internal/store"
 	"ptrack/internal/stream"
@@ -19,7 +20,7 @@ type stepLog struct {
 	events []stream.Event
 }
 
-func (l *stepLog) hook(session string, ev stream.Event) {
+func (l *stepLog) hook(session string, ev stream.Event, _ tracing.SpanContext) {
 	l.mu.Lock()
 	l.events = append(l.events, ev)
 	l.mu.Unlock()

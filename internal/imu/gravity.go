@@ -103,13 +103,11 @@ func (p *Projector) Project(accel vecmath.Vec3) Projection {
 	}
 }
 
-// Warmup feeds n copies of the sample through the gravity filter without
-// emitting projections, settling the low-pass before real data arrives.
-func (p *Projector) Warmup(accel vecmath.Vec3, n int) {
-	for i := 0; i < n; i++ {
-		p.grav.Update(accel)
-	}
-}
+// Prime feeds one sample through the gravity filter without emitting a
+// projection. On a fresh projector this sets the gravity estimate to
+// accel exactly, settling the low-pass before real data arrives (more
+// copies of the same sample would not move it).
+func (p *Projector) Prime(accel vecmath.Vec3) { p.grav.Update(accel) }
 
 // State exposes the underlying gravity estimator's state for
 // snapshotting; see GravityEstimator.State.

@@ -119,7 +119,7 @@ func TestProjectorVerticalRecovery(t *testing.T) {
 	att := vecmath.AxisAngle(vecmath.V3(1, 1, 0), 0.7)
 	s := NewSensor(SensorConfig{SampleRate: fs, Seed: 2})
 	rest := s.Read(vecmath.Vec3{}, att)
-	p.Warmup(rest, 2000)
+	p.Prime(rest)
 
 	n := 400
 	worst := 0.0
@@ -143,7 +143,7 @@ func TestProjectorHorizontalEnergySeparation(t *testing.T) {
 	p := NewProjector(0.3, fs)
 	att := vecmath.IdentityQuat()
 	s := NewSensor(SensorConfig{SampleRate: fs, Seed: 3})
-	p.Warmup(s.Read(vecmath.Vec3{}, att), 2000)
+	p.Prime(s.Read(vecmath.Vec3{}, att))
 
 	// Pure horizontal world-frame oscillation: vertical projection must
 	// stay small, horizontal must carry the energy.
@@ -169,7 +169,7 @@ func TestProjectorGravityAlongDeviceX(t *testing.T) {
 	att := vecmath.AxisAngle(vecmath.V3(0, 1, 0), math.Pi/2) // device X -> world up? rotate to make it so
 	s := NewSensor(SensorConfig{SampleRate: 100, Seed: 4})
 	rest := s.Read(vecmath.Vec3{}, att)
-	p.Warmup(rest, 500)
+	p.Prime(rest)
 	proj := p.Project(rest)
 	if math.IsNaN(proj.Vertical) || math.IsNaN(proj.H1) || math.IsNaN(proj.H2) {
 		t.Errorf("NaN in projection: %+v", proj)

@@ -299,20 +299,8 @@ func (h *Hooks) TraceProcessed() {
 	h.traces.Inc()
 }
 
-// SampleIngested records one streaming sample and the resulting buffer
+// SamplesIngested records n streaming samples and the resulting buffer
 // occupancy.
-func (h *Hooks) SampleIngested(buffered int) {
-	if h == nil {
-		return
-	}
-	h.samplesIn.Inc()
-	h.bufferLen.Set(float64(buffered))
-}
-
-// SamplesIngested records n streaming samples at once and the resulting
-// buffer occupancy — the block-push path's amortized equivalent of n
-// SampleIngested calls (the counter advances by n, the gauge lands on the
-// same final occupancy).
 func (h *Hooks) SamplesIngested(n, buffered int) {
 	if h == nil || n <= 0 {
 		return

@@ -17,7 +17,7 @@ func TestNilHooksSafe(t *testing.T) {
 	h.Cycle(2, 1.0, 0.05, 0.3, true, 2)
 	h.AddSteps(4)
 	h.TraceProcessed()
-	h.SampleIngested(100)
+	h.SamplesIngested(1, 100)
 	h.SamplesDropped(10)
 	h.EventEmitted(1.2)
 	if got := h.WithCycleLogger(slog.Default()); got != nil {
@@ -37,7 +37,7 @@ func TestHooksRecord(t *testing.T) {
 	h.Cycle(1, 2.0, 0.01, -0.1, false, 0) // interference, offset not computable
 	h.AddSteps(2)
 	h.TraceProcessed()
-	h.SampleIngested(512)
+	h.SamplesIngested(1, 512)
 	h.SamplesDropped(64)
 	h.EventEmitted(1.4)
 
@@ -128,7 +128,7 @@ func TestConcurrentHooks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				h.SampleIngested(j)
+				h.SamplesIngested(1, j)
 				h.StageDone(StageIdentify, time.Microsecond)
 				h.Cycle(j%4, float64(j), 0.03, 0.1, j%2 == 0, 2)
 				h.AddSteps(2)

@@ -17,7 +17,6 @@ import (
 	"io"
 	"math"
 	"runtime/metrics"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -403,16 +402,4 @@ func (r *Registry) Snapshot() map[string]any {
 		}
 	}
 	return out
-}
-
-// SortedSeriesNames returns every series name in lexical order — handy
-// for documentation and tests.
-func (r *Registry) SortedSeriesNames() []string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -290,16 +290,6 @@ func (s *Span) StartTime() time.Time {
 	return s.start
 }
 
-// EndTime returns when the span ended (zero before End).
-func (s *Span) EndTime() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.end
-}
-
 // Duration returns the monotonic span length (0 before End).
 func (s *Span) Duration() time.Duration {
 	if s == nil {

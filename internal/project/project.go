@@ -90,7 +90,7 @@ func DecomposeInto(s *Series, tr *trace.Trace) {
 	for _, smp := range tr.Samples[:primeN] {
 		primeSum = primeSum.Add(smp.Accel)
 	}
-	p.Warmup(primeSum.Scale(1/float64(primeN)), int(120*tr.SampleRate))
+	p.Prime(primeSum.Scale(1 / float64(primeN)))
 	for i, smp := range tr.Samples {
 		proj := p.Project(smp.Accel)
 		s.Vertical[i] = proj.Vertical

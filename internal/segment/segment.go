@@ -122,13 +122,7 @@ func pairCycles(peaks []int, mag []float64, sampleRate float64, cfg Config) []Cy
 	i := 0
 	for i+2 < len(peaks) {
 		p0, p1, p2 := peaks[i], peaks[i+1], peaks[i+2]
-		d1 := float64(p1-p0) / sampleRate
-		d2 := float64(p2-p1) / sampleRate
-		total := d1 + d2
-		ratio := math.Max(d1, d2) / math.Max(math.Min(d1, d2), 1e-9)
-		if total >= cfg.MinCycleS && total <= cfg.MaxCycleS &&
-			ratio <= cfg.MaxPeriodRatio &&
-			amplitudeConsistent(mag, p0, p1, p2, cfg.MaxAmplitudeRatio) {
+		if PlausibleCycle(mag, 0, p0, p1, p2, sampleRate, cfg) {
 			cycles = append(cycles, Cycle{Start: p0, End: p2, Peaks: [2]int{p0, p1}})
 			i += 2 // non-overlapping: next cycle starts at p2
 		} else {
@@ -138,13 +132,32 @@ func pairCycles(peaks []int, mag []float64, sampleRate float64, cfg Config) []Cy
 	return cycles
 }
 
+// PlausibleCycle reports whether three consecutive step peaks p0 < p1 <
+// p2 (sample indices) delimit a plausible gait cycle: a total duration
+// within [MinCycleS, MaxCycleS], two step intervals within
+// MaxPeriodRatio of each other, and peak heights of the smoothed
+// magnitude within MaxAmplitudeRatio of each other (heights floored at
+// 1e-3). The height of peak p is smooth[p-off], so a caller holding a
+// sliding window passes the window's first absolute index as off. cfg
+// must have its defaults resolved. It is the one cycle rule of the batch
+// segmenter and the streaming tracker.
+func PlausibleCycle(smooth []float64, off, p0, p1, p2 int, sampleRate float64, cfg Config) bool {
+	d1 := float64(p1-p0) / sampleRate
+	d2 := float64(p2-p1) / sampleRate
+	total := d1 + d2
+	ratio := math.Max(d1, d2) / math.Max(math.Min(d1, d2), 1e-9)
+	return total >= cfg.MinCycleS && total <= cfg.MaxCycleS &&
+		ratio <= cfg.MaxPeriodRatio &&
+		amplitudeConsistent(smooth, off, p0, p1, p2, cfg.MaxAmplitudeRatio)
+}
+
 // amplitudeConsistent reports whether the three step-peak heights are
 // within the allowed ratio of each other.
-func amplitudeConsistent(mag []float64, p0, p1, p2 int, maxRatio float64) bool {
+func amplitudeConsistent(smooth []float64, off, p0, p1, p2 int, maxRatio float64) bool {
 	const floor = 1e-3
 	lo, hi := math.Inf(1), 0.0
 	for _, p := range [3]int{p0, p1, p2} {
-		h := mag[p]
+		h := smooth[p-off]
 		if h < floor {
 			h = floor
 		}

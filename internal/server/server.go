@@ -646,8 +646,6 @@ func (s *Server) samplesPushError(w http.ResponseWriter, r *http.Request, accept
 	case errors.Is(err, ptrack.ErrSessionQueueFull):
 		s.cfg.Hooks.RequestRejected("backpressure")
 		writeError(w, http.StatusTooManyRequests, wire.CodeBackpressure, "session queue full", time.Second, accepted)
-	case errors.Is(err, ptrack.ErrSessionLimit):
-		s.reject(w, r, http.StatusServiceUnavailable, "overload", "session limit reached", time.Second)
 	case errors.Is(err, ptrack.ErrHubClosed):
 		s.reject(w, r, http.StatusServiceUnavailable, "draining", "server is draining", time.Second)
 	default:

@@ -15,6 +15,7 @@ import (
 	"ptrack/internal/dsp"
 	"ptrack/internal/gaitid"
 	"ptrack/internal/imu"
+	"ptrack/internal/segment"
 	"ptrack/internal/stride"
 	"ptrack/internal/trace"
 	"ptrack/internal/vecmath"
@@ -23,10 +24,9 @@ import (
 // refTracker is the old online pipeline: O(buffer) refilter + peak
 // re-detection per scan, allocating fresh intermediates throughout.
 type refTracker struct {
-	cfg     Config
-	dec     gaitid.Decider
-	grav    *imu.Projector
-	gravSet bool
+	cfg  Config
+	dec  gaitid.Decider
+	grav *imu.Projector
 
 	base     int
 	absCount int
@@ -68,10 +68,6 @@ func newRefTracker(cfg Config) (*refTracker, error) {
 func (t *refTracker) Steps() int { return t.dec.ID.Steps() }
 
 func (t *refTracker) Push(s trace.Sample) []Event {
-	if !t.gravSet {
-		t.grav.Warmup(s.Accel, int(120*t.cfg.SampleRate))
-		t.gravSet = true
-	}
 	proj := t.grav.Project(s.Accel)
 	t.vertical = append(t.vertical, proj.Vertical)
 	t.h1 = append(t.h1, proj.H1)
@@ -124,6 +120,10 @@ func (t *refTracker) drainWith(flush bool) []Event {
 	if maxAmpRatio == 0 {
 		maxAmpRatio = 1.8
 	}
+	rule := segment.Config{
+		MinCycleS: minCycle, MaxCycleS: maxCycle,
+		MaxPeriodRatio: maxRatio, MaxAmplitudeRatio: maxAmpRatio,
+	}
 
 	for {
 		if len(t.mag) < 8 {
@@ -145,12 +145,7 @@ func (t *refTracker) drainWith(flush bool) []Event {
 			return events
 		}
 		p0, p1, p2 := cand[0], cand[1], cand[2]
-		d1 := float64(p1-p0) / t.cfg.SampleRate
-		d2 := float64(p2-p1) / t.cfg.SampleRate
-		total := d1 + d2
-		ratio := math.Max(d1, d2) / math.Max(math.Min(d1, d2), 1e-9)
-		ampOK := t.peakAmplitudesConsistent(smooth, p0, p1, p2, maxAmpRatio)
-		if total < minCycle || total > maxCycle || ratio > maxRatio || !ampOK {
+		if !segment.PlausibleCycle(smooth, t.base, p0, p1, p2, t.cfg.SampleRate, rule) {
 			t.lastPeak = p1
 			continue
 		}
@@ -170,26 +165,12 @@ func (t *refTracker) drainWith(flush bool) []Event {
 		if p0-leadMargin < t.base {
 			leadMargin = p0 - t.base
 		}
-		m := min2(leadMargin, margin)
+		m := min(leadMargin, margin)
 		ev := t.classifyCycle(p0, p2, m)
 		events = append(events, ev...)
 		t.lastPeak = p2
 		t.lastCycleLen = cycLen
 	}
-}
-
-func (t *refTracker) peakAmplitudesConsistent(smooth []float64, p0, p1, p2 int, maxRatio float64) bool {
-	const floor = 1e-3
-	lo, hi := math.Inf(1), 0.0
-	for _, p := range [3]int{p0, p1, p2} {
-		h := smooth[p-t.base]
-		if h < floor {
-			h = floor
-		}
-		lo = math.Min(lo, h)
-		hi = math.Max(hi, h)
-	}
-	return hi/lo <= maxRatio
 }
 
 func (t *refTracker) classifyCycle(startAbs, endAbs, margin int) []Event {

@@ -31,8 +31,10 @@ func (t *Tracker) Snapshot(dst []byte) []byte {
 	e.F64(t.cfg.SampleRate)
 
 	// Projection front end.
+	// Format v1 stores the estimator's primed bit twice; the duplicate
+	// keeps existing snapshots readable without a version bump.
 	grav, primed := t.grav.State()
-	e.Bool(t.gravSet)
+	e.Bool(primed)
 	e.Bool(primed)
 	e.F64(grav.X)
 	e.F64(grav.Y)
@@ -120,8 +122,8 @@ func (t *Tracker) Restore(blob []byte) error {
 		return fmt.Errorf("stream: restore: snapshot is for %v Hz, tracker runs at %v Hz", rate, t.cfg.SampleRate)
 	}
 
-	gravSet := d.Bool()
 	gravPrimed := d.Bool()
+	d.Bool() // the second copy of the primed bit; see Snapshot
 	grav := vecmath.V3(d.F64(), d.F64(), d.F64())
 
 	base := d.Int()
@@ -214,7 +216,6 @@ func (t *Tracker) Restore(blob []byte) error {
 	}
 
 	// Commit. Everything below is infallible.
-	t.gravSet = gravSet
 	t.grav.SetState(grav, gravPrimed)
 	t.base = base
 	t.absCount = absCount

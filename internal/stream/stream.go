@@ -99,11 +99,13 @@ const settleTol = 1e-24
 // Tracker is the online pipeline. Construct with New. Not safe for
 // concurrent use.
 type Tracker struct {
-	cfg     Config
-	segCfg  segment.Config // cfg.Segment with defaults resolved
-	dec     gaitid.Decider // per-cycle decision, pending stepping cycles
-	grav    *imu.Projector
-	gravSet bool
+	cfg    Config
+	segCfg segment.Config // cfg.Segment with defaults resolved
+	dec    gaitid.Decider // per-cycle decision, pending stepping cycles
+	// grav primes its gravity estimate on the first sample it projects
+	// and refines it as the stream proceeds (a real device carries its
+	// estimate over).
+	grav *imu.Projector
 
 	// Sliding buffers, all indexed by absolute sample number minus base.
 	// The named slices are views into per-signal arenas: compaction
@@ -198,9 +200,9 @@ func New(cfg Config) (*Tracker, error) {
 		// less than one sample period); clamp them to at least one sample
 		// so low-rate streams scan every sample instead of never scanning
 		// and keep a positive peak refractory distance.
-		scanEvery: max2(1, int(0.1*cfg.SampleRate)),
+		scanEvery: max(1, int(0.1*cfg.SampleRate)),
 	}
-	t.minDistSamp = max2(1, int(math.Round(segCfg.MinPeakDistanceS*cfg.SampleRate)))
+	t.minDistSamp = max(1, int(math.Round(segCfg.MinPeakDistanceS*cfg.SampleRate)))
 	if fwd, err := dsp.NewLowPassBiquad(segCfg.LowPassCutoffHz, cfg.SampleRate); err == nil {
 		t.fwdBq = fwd
 		t.bwdBq, _ = dsp.NewLowPassBiquad(segCfg.LowPassCutoffHz, cfg.SampleRate)
@@ -217,7 +219,7 @@ func New(cfg Config) (*Tracker, error) {
 	// earlier terrain. A full cycle plus several refractory distances
 	// covers both in practice; the equivalence suite pins this against
 	// whole-buffer detection on every seed activity.
-	t.lookback = max2(1, int(math.Round(segCfg.MaxCycleS*cfg.SampleRate))+4*t.minDistSamp)
+	t.lookback = max(1, int(math.Round(segCfg.MaxCycleS*cfg.SampleRate))+4*t.minDistSamp)
 	if cfg.AdaptiveDelta {
 		t.dec.Adaptive = gaitid.NewAdaptiveThreshold(0)
 	}
@@ -363,12 +365,6 @@ func (t *Tracker) ingestRun(samples []trace.Sample) {
 	k := len(samples)
 	if k == 0 {
 		return
-	}
-	if !t.gravSet {
-		// Prime the gravity filter on the first sample; it refines as the
-		// stream proceeds (a real device carries its estimate over).
-		t.grav.Warmup(samples[0].Accel, int(120*t.cfg.SampleRate))
-		t.gravSet = true
 	}
 	n := len(t.arMag)
 	t.arMag = extend(t.arMag, k)
@@ -549,13 +545,7 @@ func (t *Tracker) drainInto(evs []Event, flush bool) []Event {
 	ci := 0
 	for ci+3 <= len(t.cand) {
 		p0, p1, p2 := t.cand[ci], t.cand[ci+1], t.cand[ci+2]
-		d1 := float64(p1-p0) / t.cfg.SampleRate
-		d2 := float64(p2-p1) / t.cfg.SampleRate
-		total := d1 + d2
-		ratio := math.Max(d1, d2) / math.Max(math.Min(d1, d2), 1e-9)
-		ampOK := t.peakAmplitudesConsistent(p0, p1, p2, t.segCfg.MaxAmplitudeRatio)
-		if total < t.segCfg.MinCycleS || total > t.segCfg.MaxCycleS ||
-			ratio > t.segCfg.MaxPeriodRatio || !ampOK {
+		if !segment.PlausibleCycle(t.smooth, t.base, p0, p1, p2, t.cfg.SampleRate, t.segCfg) {
 			// Not a plausible cycle: advance one peak, as the batch
 			// segmenter does (the next triple starts at p1).
 			t.lastPeak = p1
@@ -579,27 +569,13 @@ func (t *Tracker) drainInto(evs []Event, flush bool) []Event {
 		if p0-leadMargin < t.base {
 			leadMargin = p0 - t.base
 		}
-		m := min2(leadMargin, margin)
+		m := min(leadMargin, margin)
 		evs = t.classifyInto(evs, p0, p2, m)
 		t.lastPeak = p2
 		t.lastCycleLen = cycLen
 		ci += 2
 	}
 	return evs
-}
-
-func (t *Tracker) peakAmplitudesConsistent(p0, p1, p2 int, maxRatio float64) bool {
-	const floor = 1e-3
-	lo, hi := math.Inf(1), 0.0
-	for _, p := range [3]int{p0, p1, p2} {
-		h := t.smooth[p-t.base]
-		if h < floor {
-			h = floor
-		}
-		lo = math.Min(lo, h)
-		hi = math.Max(hi, h)
-	}
-	return hi/lo <= maxRatio
 }
 
 // classifyInto decides the cycle [startAbs, endAbs) over its projected
@@ -730,18 +706,4 @@ func (t *Tracker) compact() {
 func reclaim(x []float64, off int) []float64 {
 	n := copy(x, x[off:])
 	return x[:n]
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -39,26 +39,6 @@ func (a Mat3) MulVec(v Vec3) Vec3 {
 	}
 }
 
-// Transpose returns the transpose of a. For rotation matrices this is the
-// inverse.
-func (a Mat3) Transpose() Mat3 {
-	var out Mat3
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			out.M[i][j] = a.M[j][i]
-		}
-	}
-	return out
-}
-
-// Det returns the determinant of a.
-func (a Mat3) Det() float64 {
-	m := a.M
-	return m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
-		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
-		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
-}
-
 // RotZ returns the rotation matrix for a rotation of angle radians about the
 // Z (vertical) axis, counter-clockwise when viewed from +Z.
 func RotZ(angle float64) Mat3 {
@@ -68,19 +48,6 @@ func RotZ(angle float64) Mat3 {
 		{c, -s, 0},
 		{s, c, 0},
 		{0, 0, 1},
-	}
-	return m
-}
-
-// RotY returns the rotation matrix for a rotation of angle radians about the
-// Y (lateral) axis.
-func RotY(angle float64) Mat3 {
-	c, s := math.Cos(angle), math.Sin(angle)
-	var m Mat3
-	m.M = [3][3]float64{
-		{c, 0, s},
-		{0, 1, 0},
-		{-s, 0, c},
 	}
 	return m
 }

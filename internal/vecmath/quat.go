@@ -57,18 +57,6 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 	return v.Add(t.Scale(q.W)).Add(Vec3{q.X, q.Y, q.Z}.Cross(t))
 }
 
-// Mat returns the rotation matrix equivalent to q (assumed unit).
-func (q Quat) Mat() Mat3 {
-	w, x, y, z := q.W, q.X, q.Y, q.Z
-	var m Mat3
-	m.M = [3][3]float64{
-		{1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y)},
-		{2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x)},
-		{2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y)},
-	}
-	return m
-}
-
 // Slerp spherically interpolates between q (t=0) and r (t=1).
 func Slerp(q, r Quat, t float64) Quat {
 	dot := q.W*r.W + q.X*r.X + q.Y*r.Y + q.Z*r.Z

@@ -30,11 +30,13 @@ func TestAxisAngleRotate(t *testing.T) {
 	}
 }
 
+// The quaternion and matrix forms of the same rotation agree.
 func TestQuatMatAgreesWithRotate(t *testing.T) {
-	q := AxisAngle(V3(1, 2, 3), 0.8)
+	q := AxisAngle(V3(0, 0, 1), 0.8).Mul(AxisAngle(V3(1, 0, 0), -0.3))
+	m := RotZ(0.8).Mul(RotX(-0.3))
 	v := V3(-2, 5, 1)
-	if got, want := q.Mat().MulVec(v), q.Rotate(v); !vecAlmostEq(got, want, 1e-12) {
-		t.Errorf("Mat().MulVec = %v, Rotate = %v", got, want)
+	if got, want := m.MulVec(v), q.Rotate(v); !vecAlmostEq(got, want, 1e-12) {
+		t.Errorf("matrix rotate = %v, quaternion rotate = %v", got, want)
 	}
 }
 

@@ -24,7 +24,7 @@ const (
 	CodeDraining = "draining"
 	// CodeRateLimit: the per-client rate limit refused the request.
 	CodeRateLimit = "rate_limit"
-	// CodeOverload: server-wide capacity (in-flight gate, session limit)
+	// CodeOverload: server-wide capacity (the in-flight gate)
 	// refused the request.
 	CodeOverload = "overload"
 	// CodeBackpressure: the session's bounded queue is full; resume from

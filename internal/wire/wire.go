@@ -479,15 +479,6 @@ func AppendMoved(dst []byte, owner string) []byte {
 	return append(dst, b...)
 }
 
-// ParseMovedJSON decodes an SSE moved payload produced by AppendMoved.
-func ParseMovedJSON(data []byte) (Moved, error) {
-	var m Moved
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Moved{}, fmt.Errorf("wire: decoding moved: %w", err)
-	}
-	return m, nil
-}
-
 // Gap is the JSON payload of one SSE gap event.
 type Gap struct {
 	// Dropped is the cumulative number of events this subscription has

@@ -33,11 +33,8 @@ type options struct {
 
 	// Hub-only knobs (see NewSessionHub); ignored elsewhere.
 	queueSize          int
-	idleTimeout        time.Duration
-	maxSessions        int
-	onEvent            func(session string, ev Event)
+	onEvent            func(session string, ev Event, sc SpanContext)
 	onSessionEnd       func(session string)
-	onEventCtx         func(session string, ev Event, sc SpanContext)
 	sessionStore       SessionStore
 	checkpointInterval time.Duration
 }
@@ -83,27 +80,16 @@ func WithSessionQueueSize(n int) Option {
 	return func(o *options) { o.queueSize = n }
 }
 
-// WithIdleTimeout sets how long a hub session may go without a Push
-// before it is flushed and evicted (default 2 minutes; negative
-// disables eviction). SessionHub only.
-func WithIdleTimeout(d time.Duration) Option {
-	return func(o *options) { o.idleTimeout = d }
-}
-
-// WithMaxSessions caps a hub's concurrently live sessions (default
-// unlimited). At the cap, a Push for a new session evicts the
-// longest-idle existing session, or fails with ErrSessionLimit if none
-// can be evicted. SessionHub only.
-func WithMaxSessions(n int) Option {
-	return func(o *options) { o.maxSessions = n }
-}
-
 // WithEventHook registers fn to receive every classification event,
 // tagged with its session ID. fn is called from per-session goroutines
 // and must be safe for concurrent use; without an event hook the hub
-// discards events (useful only for its side metrics). SessionHub only.
+// discards events (useful only for its side metrics). WithEventHook and
+// WithTracedEventHook set the same hook, so the last one given wins.
+// SessionHub only.
 func WithEventHook(fn func(session string, ev Event)) Option {
-	return func(o *options) { o.onEvent = fn }
+	return func(o *options) {
+		o.onEvent = func(session string, ev Event, _ SpanContext) { fn(session, ev) }
+	}
 }
 
 // WithSessionStore makes hub session state durable: every session is
@@ -128,8 +114,8 @@ func WithCheckpointInterval(d time.Duration) Option {
 
 // WithSessionEndHook registers fn to be called once per hub session,
 // after the session's trailing (flush) events have been delivered to
-// the event callback — whether the session left via End, idle or LRU
-// eviction, or Close. The serving layer uses it to terminate per-session
+// the event callback — whether the session left via End, Evict, idle
+// eviction or Close. The serving layer uses it to terminate per-session
 // event streams only after every pending event is out. fn is called
 // from per-session goroutines and must be safe for concurrent use.
 // SessionHub only.
@@ -137,15 +123,15 @@ func WithSessionEndHook(fn func(session string)) Option {
 	return func(o *options) { o.onSessionEnd = fn }
 }
 
-// WithTracedEventHook registers fn as the hub's event callback, taking
-// precedence over WithEventHook (which is then ignored). fn
-// additionally receives the span context of the event's event.emit span
-// — the zero SpanContext when the session's request was not sampled or
-// no tracer is attached — so downstream fan-out (e.g. SSE delivery) can
-// parent its own spans on the pipeline. fn is called from per-session
-// goroutines and must be safe for concurrent use. SessionHub only.
+// WithTracedEventHook is WithEventHook for callbacks that also want
+// the span context of the event's event.emit span — the zero
+// SpanContext when the session's request was not sampled or no tracer
+// is attached — so downstream fan-out (e.g. SSE delivery) can parent
+// its own spans on the pipeline. Both options set the same hook, so the
+// last one given wins. fn is called from per-session goroutines and
+// must be safe for concurrent use. SessionHub only.
 func WithTracedEventHook(fn func(session string, ev Event, sc SpanContext)) Option {
-	return func(o *options) { o.onEventCtx = fn }
+	return func(o *options) { o.onEvent = fn }
 }
 
 // WithConditioning routes every input trace or sample stream through

@@ -145,37 +145,58 @@ func New(opts ...Option) (*Tracker, error) {
 // is processed as independent segments whose step counts accumulate
 // into the one Result.
 func (t *Tracker) Process(tr *Trace) (*Result, error) {
-	if t.cond == nil {
-		if err := validTrace(tr); err != nil {
+	segs, rep, err := admit(tr, t.cond)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*Result, len(segs))
+	for i, seg := range segs {
+		if results[i], err = t.pl.Process(seg); err != nil {
 			return nil, fmt.Errorf("ptrack: %w", err)
+		}
+	}
+	return fold(segs, results, rep), nil
+}
+
+// admit applies the ingestion contract to one trace and returns the
+// segments to process. Without conditioning (cond == nil) the trace is
+// validated and is its own single segment; with conditioning it is
+// repaired, possibly into several segments, and the repair report is
+// returned. Errors wrap ErrEmptyTrace, ErrInvalidSampleRate or
+// ErrDefectiveTrace.
+func admit(tr *Trace, cond *condition.Config) ([]*Trace, *ConditionReport, error) {
+	if cond == nil {
+		if err := validTrace(tr); err != nil {
+			return nil, nil, fmt.Errorf("ptrack: %w", err)
 		}
 		if err := tr.Validate(); err != nil {
-			return nil, fmt.Errorf("ptrack: %w: %v", ErrDefectiveTrace, err)
+			return nil, nil, fmt.Errorf("ptrack: %w: %v", ErrDefectiveTrace, err)
 		}
-		res, err := t.pl.Process(tr)
-		if err != nil {
-			return nil, fmt.Errorf("ptrack: %w", err)
-		}
-		return res, nil
+		return []*Trace{tr}, nil, nil
 	}
-
 	if tr == nil || len(tr.Samples) == 0 {
-		return nil, fmt.Errorf("ptrack: %w", ErrEmptyTrace)
+		return nil, nil, fmt.Errorf("ptrack: %w", ErrEmptyTrace)
 	}
-	segs, rep, err := condition.Condition(tr, *t.cond)
+	segs, rep, err := condition.Condition(tr, *cond)
 	if err != nil {
-		return nil, fmt.Errorf("ptrack: %w: %v", ErrDefectiveTrace, err)
+		return nil, nil, fmt.Errorf("ptrack: %w: %v", ErrDefectiveTrace, err)
+	}
+	return segs, rep, nil
+}
+
+// fold combines the per-segment results of one admitted trace into its
+// Result: an unconditioned trace (nil report) has exactly one, returned
+// as is; conditioned segments are merged onto the recording's timeline.
+func fold(segs []*Trace, results []*Result, rep *ConditionReport) *Result {
+	if rep == nil {
+		return results[0]
 	}
 	merged := &Result{Conditioning: rep}
 	t0 := segs[0].Samples[0].T
-	for _, seg := range segs {
-		res, err := t.pl.Process(seg)
-		if err != nil {
-			return nil, fmt.Errorf("ptrack: %w", err)
-		}
-		mergeResult(merged, res, seg.Samples[0].T-t0, seg.SampleRate)
+	for i, seg := range segs {
+		mergeResult(merged, results[i], seg.Samples[0].T-t0, seg.SampleRate)
 	}
-	return merged, nil
+	return merged
 }
 
 // mergeResult accumulates one conditioned segment's result into dst,

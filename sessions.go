@@ -10,8 +10,8 @@ import (
 // session ID — the "many users, one service" deployment shape. Each
 // session runs its own streaming tracker behind a bounded queue, so
 // Push never blocks on pipeline work and pushes to distinct sessions
-// proceed in parallel. Sessions idle past the hub's timeout are flushed
-// and evicted. Safe for concurrent use; construct with NewSessionHub
+// proceed in parallel. Sessions idle for two minutes are flushed and
+// evicted. Safe for concurrent use; construct with NewSessionHub
 // and Close when done.
 type SessionHub struct {
 	hub *engine.Hub
@@ -27,8 +27,7 @@ type SessionStat = engine.SessionStat
 // shape. Register an event callback with WithEventHook (or
 // WithTracedEventHook); without one, events are discarded. The options
 // are those of NewOnline plus the hub knobs (WithSessionQueueSize,
-// WithIdleTimeout, WithMaxSessions, WithSessionStore,
-// WithCheckpointInterval). Configuration errors wrap ErrInvalidProfile
+// WithSessionStore, WithCheckpointInterval). Configuration errors wrap ErrInvalidProfile
 // / ErrInvalidSampleRate.
 func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 	o, err := resolve(opts)
@@ -41,10 +40,7 @@ func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 	hub, err := engine.NewHub(engine.HubConfig{
 		Stream:             o.streamConfig(sampleRate),
 		QueueSize:          o.queueSize,
-		IdleTimeout:        o.idleTimeout,
-		MaxSessions:        o.maxSessions,
 		OnEvent:            o.onEvent,
-		OnEventCtx:         o.onEventCtx,
 		OnSessionEnd:       o.onSessionEnd,
 		Hooks:              o.observer,
 		Store:              o.sessionStore,
@@ -59,7 +55,7 @@ func NewSessionHub(sampleRate float64, opts ...Option) (*SessionHub, error) {
 // Push routes one sample to the given session, creating the session on
 // first use. It never blocks on pipeline work: a full session queue
 // drops the sample and returns an error wrapping ErrSessionQueueFull.
-// Other failure modes wrap ErrHubClosed and ErrSessionLimit.
+// After Close it fails with an error wrapping ErrHubClosed.
 func (h *SessionHub) Push(session string, s Sample) error {
 	if err := h.hub.Push(session, s); err != nil {
 		return fmt.Errorf("ptrack: %w", err)
