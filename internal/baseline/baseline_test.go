@@ -99,7 +99,7 @@ func trainSCAR(t *testing.T, withPhoto bool) *SCAR {
 			training[a] = append(training[a], rec.Trace)
 		}
 	}
-	s, err := NewSCAR(SCARConfig{}, training)
+	s, err := NewSCAR(training)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func trainSCAR(t *testing.T, withPhoto bool) *SCAR {
 }
 
 func TestSCARValidation(t *testing.T) {
-	if _, err := NewSCAR(SCARConfig{}, nil); err == nil {
+	if _, err := NewSCAR(nil); err == nil {
 		t.Error("no training data should fail")
 	}
 	empty := map[trace.Activity][]*trace.Trace{
 		trace.ActivityWalking: {{SampleRate: 100}},
 	}
-	if _, err := NewSCAR(SCARConfig{}, empty); err == nil {
+	if _, err := NewSCAR(empty); err == nil {
 		t.Error("empty traces should fail")
 	}
 }

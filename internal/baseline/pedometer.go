@@ -21,40 +21,27 @@ import (
 
 // PeakCounterConfig tunes a magnitude-peak step counter.
 type PeakCounterConfig struct {
-	LowPassCutoffHz   float64 // default 5
 	MinPeakProminence float64 // default 0.8 m/s^2
-	MinPeakDistanceS  float64 // default 0.25 s
 	// ContinuityWindow, when > 0, enables Montage-style movement
 	// continuity: a peak only counts when its interval to the previous
-	// peak is within ContinuityRatio of the running period estimate, with
+	// peak is within continuityRatio of the running period estimate, with
 	// ContinuityWindow peaks needed to (re)lock. Zero disables (GFit-like
 	// behaviour).
 	ContinuityWindow int
-	ContinuityRatio  float64 // default 0.45
-	// PeriodMinS/PeriodMaxS bound a plausible step period. Defaults 0.25
-	// and 1.4 s.
-	PeriodMinS float64
-	PeriodMaxS float64
 }
 
+// The peak counters' fixed front end and rhythm bounds.
+const (
+	counterCutoffHz     = 5    // magnitude low-pass before peak picking
+	counterMinPeakDistS = 0.25 // refractory period between peaks, seconds
+	continuityRatio     = 0.45 // tolerated interval deviation from the running period
+	periodMinS          = 0.25 // plausible step period bounds, seconds
+	periodMaxS          = 1.4
+)
+
 func (c PeakCounterConfig) withDefaults() PeakCounterConfig {
-	if c.LowPassCutoffHz == 0 {
-		c.LowPassCutoffHz = 5
-	}
 	if c.MinPeakProminence == 0 {
 		c.MinPeakProminence = 0.8
-	}
-	if c.MinPeakDistanceS == 0 {
-		c.MinPeakDistanceS = 0.25
-	}
-	if c.ContinuityRatio == 0 {
-		c.ContinuityRatio = 0.45
-	}
-	if c.PeriodMinS == 0 {
-		c.PeriodMinS = 0.25
-	}
-	if c.PeriodMaxS == 0 {
-		c.PeriodMaxS = 1.4
 	}
 	return c
 }
@@ -103,10 +90,10 @@ func stepPeaks(tr *trace.Trace, cfg PeakCounterConfig) []int {
 	for i, s := range tr.Samples {
 		mag[i] = s.Accel.Norm() - imu.StandardGravity
 	}
-	mag = dsp.FiltFilt(mag, cfg.LowPassCutoffHz, tr.SampleRate)
+	mag = dsp.FiltFilt(mag, counterCutoffHz, tr.SampleRate)
 	return dsp.FindPeaks(mag, dsp.PeakOptions{
 		MinProminence: cfg.MinPeakProminence,
-		MinDistance:   int(math.Round(cfg.MinPeakDistanceS * tr.SampleRate)),
+		MinDistance:   int(math.Round(counterMinPeakDistS * tr.SampleRate)),
 	})
 }
 
@@ -122,7 +109,7 @@ func countWithContinuity(peaks []int, sampleRate float64, cfg PeakCounterConfig)
 	locked := false
 	for i := 1; i < len(peaks); i++ {
 		interval := float64(peaks[i]-peaks[i-1]) / sampleRate
-		if interval < cfg.PeriodMinS || interval > cfg.PeriodMaxS {
+		if interval < periodMinS || interval > periodMaxS {
 			locked = false
 			streak = 0
 			period = 0
@@ -133,7 +120,7 @@ func countWithContinuity(peaks []int, sampleRate float64, cfg PeakCounterConfig)
 			streak = 1
 			continue
 		}
-		if math.Abs(interval-period) <= cfg.ContinuityRatio*period {
+		if math.Abs(interval-period) <= continuityRatio*period {
 			period = 0.7*period + 0.3*interval
 			streak++
 			if !locked && streak >= cfg.ContinuityWindow {

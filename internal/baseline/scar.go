@@ -13,21 +13,8 @@ import (
 // scarFeatureCount is the dimensionality of the SCAR feature vector.
 const scarFeatureCount = 10
 
-// SCARConfig tunes the SCAR-style activity recogniser.
-type SCARConfig struct {
-	WindowS float64 // classification window, default 2.5 s
-	// Counter is the step counter applied to windows classified as a
-	// pedestrian activity. Defaults to GFitConfig.
-	Counter PeakCounterConfig
-}
-
-func (c SCARConfig) withDefaults() SCARConfig {
-	if c.WindowS == 0 {
-		c.WindowS = 2.5
-	}
-	c.Counter = c.Counter.withDefaults()
-	return c
-}
+// scarWindowS is the SCAR classification window, seconds.
+const scarWindowS = 2.5
 
 // SCAR is a windowed statistical-feature activity classifier in the style
 // of Dernbach et al. [18]: labeled training data, per-class feature
@@ -36,20 +23,19 @@ func (c SCARConfig) withDefaults() SCARConfig {
 // counters on *trained* interference but fails on activities outside its
 // training set (the paper withholds "Photo" to show this; Fig. 7(a)).
 type SCAR struct {
-	cfg       SCARConfig
 	classes   []trace.Activity
 	centroids [][]float64
 	scale     []float64 // per-feature normalisation (std across training)
 }
 
 // NewSCAR trains the classifier on labeled recordings. Each training
-// entry maps an activity to one or more traces of that activity.
-func NewSCAR(cfg SCARConfig, training map[trace.Activity][]*trace.Trace) (*SCAR, error) {
-	cfg = cfg.withDefaults()
+// entry maps an activity to one or more traces of that activity. Windows
+// classified as a pedestrian activity count steps with GFitConfig.
+func NewSCAR(training map[trace.Activity][]*trace.Trace) (*SCAR, error) {
 	if len(training) == 0 {
 		return nil, fmt.Errorf("baseline: SCAR needs training data")
 	}
-	s := &SCAR{cfg: cfg}
+	s := &SCAR{}
 
 	type sample struct {
 		class int
@@ -124,7 +110,7 @@ func (s *SCAR) CountSteps(tr *trace.Trace) int {
 	if tr == nil || len(tr.Samples) == 0 || tr.SampleRate <= 0 {
 		return 0
 	}
-	win := int(s.cfg.WindowS * tr.SampleRate)
+	win := int(scarWindowS * tr.SampleRate)
 	if win < 8 {
 		return 0
 	}
@@ -136,7 +122,7 @@ func (s *SCAR) CountSteps(tr *trace.Trace) int {
 		}
 		a := s.classifyWindowTrace(sub)
 		if a.Pedestrian() {
-			total += CountSteps(sub, s.cfg.Counter)
+			total += CountSteps(sub, GFitConfig())
 		}
 	}
 	return total
@@ -147,7 +133,7 @@ func (s *SCAR) Classify(tr *trace.Trace) trace.Activity {
 	if tr == nil || len(tr.Samples) == 0 || tr.SampleRate <= 0 {
 		return trace.ActivityUnknown
 	}
-	win := int(s.cfg.WindowS * tr.SampleRate)
+	win := int(scarWindowS * tr.SampleRate)
 	if win < 8 || win > len(tr.Samples) {
 		win = len(tr.Samples)
 	}
@@ -188,7 +174,7 @@ func (s *SCAR) windowFeatures(tr *trace.Trace) [][]float64 {
 	if tr == nil || tr.SampleRate <= 0 {
 		return nil
 	}
-	win := int(s.cfg.WindowS * tr.SampleRate)
+	win := int(scarWindowS * tr.SampleRate)
 	if win < 8 {
 		return nil
 	}

@@ -48,8 +48,10 @@ func (m StrideModel) String() string {
 type StrideConfig struct {
 	LegLength float64 // biomechanical model's l, metres
 	K         float64 // biomechanical calibration, default 1.2 (Zijlstra)
-	KEmp      float64 // empirical (Weinberg) constant, default 0.55
 }
+
+// kEmp is the empirical (Weinberg) model's constant.
+const kEmp = 0.55
 
 func (c StrideConfig) withDefaults() StrideConfig {
 	if c.LegLength == 0 {
@@ -57,9 +59,6 @@ func (c StrideConfig) withDefaults() StrideConfig {
 	}
 	if c.K == 0 {
 		c.K = 1.2
-	}
-	if c.KEmp == 0 {
-		c.KEmp = 0.55
 	}
 	return c
 }
@@ -112,7 +111,7 @@ func strideForStep(vert, ant []float64, dt float64, model StrideModel, cfg Strid
 		return cfg.K * math.Sqrt(2*cfg.LegLength*h-h*h)
 	case StrideEmpirical:
 		min, max := dsp.MinMax(vert)
-		return cfg.KEmp * math.Pow(math.Abs(max-min), 0.25)
+		return kEmp * math.Pow(math.Abs(max-min), 0.25)
 	case StrideIntegral:
 		return math.Abs(dsp.DisplacementNaive(ant, dt))
 	default:

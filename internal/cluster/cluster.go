@@ -26,10 +26,6 @@ type Config struct {
 	// (primary + backups). Zero takes 2: one copy to run from, one to
 	// survive losing the owner. Clamped to cluster size at use.
 	Replicas int
-	// VNodes and Seed fix the ring geometry; zero takes the defaults.
-	// Every replica must agree on both.
-	VNodes int
-	Seed   uint64
 	// HTTPClient carries all peer traffic (state protocol + proxying).
 	// Nil gets a pooled client with sane timeouts.
 	HTTPClient *http.Client
@@ -42,8 +38,6 @@ type Config struct {
 type Cluster struct {
 	self     string
 	replicas int
-	vnodes   int
-	seed     uint64
 	hc       *http.Client
 	log      *slog.Logger
 
@@ -75,8 +69,6 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		self:     cfg.Self,
 		replicas: cfg.Replicas,
-		vnodes:   cfg.VNodes,
-		seed:     cfg.Seed,
 		hc:       hc,
 		log:      log,
 		remotes:  map[string]*RemoteStore{},
@@ -103,7 +95,7 @@ func (c *Cluster) Ring() *Ring {
 // SetNodes atomically replaces the membership. Peer store clients are
 // rebuilt for nodes whose URL changed and dropped for departed nodes.
 func (c *Cluster) SetNodes(nodes []Node) error {
-	ring, err := NewRing(nodes, c.vnodes, c.seed)
+	ring, err := NewRing(nodes)
 	if err != nil {
 		return err
 	}

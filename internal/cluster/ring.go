@@ -25,23 +25,21 @@ type Node struct {
 	URL  string `json:"url"`
 }
 
-// Ring defaults. DefaultVNodes trades balance for memory: 64 virtual
-// nodes per replica keeps the max/mean load ratio near 1.1 for small
-// clusters at 8 bytes × 64 points per node. DefaultSeed is arbitrary
-// but fixed: every process that shares seed, vnodes, and membership
-// computes the identical ring, which is what makes routing stable
-// across replicas without coordination.
+// Ring geometry, fixed for every replica. ringVNodes trades balance for
+// memory: 64 virtual nodes per replica keeps the max/mean load ratio
+// near 1.1 for small clusters at 8 bytes × 64 points per node. ringSeed
+// is arbitrary: every process that shares membership computes the
+// identical ring, which is what makes routing stable across replicas
+// without coordination.
 const (
-	DefaultVNodes = 64
-	DefaultSeed   = uint64(0x7074_7261_636b_3031) // "ptrack01"
+	ringVNodes = 64
+	ringSeed   = uint64(0x7074_7261_636b_3031) // "ptrack01"
 )
 
 // Ring is an immutable consistent-hash ring. Replicas swap the whole
 // ring on membership change rather than mutating it, so readers never
 // lock.
 type Ring struct {
-	vnodes  int
-	seed    uint64
 	nodes   []Node // sorted by name, unique
 	points  []ringPoint
 	version string
@@ -53,16 +51,9 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over nodes. Node names must be unique and
-// non-empty; URLs are carried opaquely. vnodes/seed of zero take the
-// defaults. An empty node list yields a valid empty ring that owns
-// nothing.
-func NewRing(nodes []Node, vnodes int, seed uint64) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	if seed == 0 {
-		seed = DefaultSeed
-	}
+// non-empty; URLs are carried opaquely. An empty node list yields a
+// valid empty ring that owns nothing.
+func NewRing(nodes []Node) (*Ring, error) {
 	sorted := make([]Node, len(nodes))
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
@@ -74,11 +65,11 @@ func NewRing(nodes []Node, vnodes int, seed uint64) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate node name %q", n.Name)
 		}
 	}
-	r := &Ring{vnodes: vnodes, seed: seed, nodes: sorted}
-	r.points = make([]ringPoint, 0, len(sorted)*vnodes)
+	r := &Ring{nodes: sorted}
+	r.points = make([]ringPoint, 0, len(sorted)*ringVNodes)
 	for ni, n := range sorted {
-		for v := 0; v < vnodes; v++ {
-			h := hash64(seed, n.Name+"#"+strconv.Itoa(v))
+		for v := 0; v < ringVNodes; v++ {
+			h := hash64(ringSeed, n.Name+"#"+strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{hash: h, node: ni})
 		}
 	}
@@ -99,9 +90,9 @@ func NewRing(nodes []Node, vnodes int, seed uint64) (*Ring, error) {
 // which is what /v1/cluster/ring introspection exposes for operators
 // checking that all replicas converged.
 func (r *Ring) fingerprint() string {
-	h := hash64(r.seed, "v1|"+strconv.Itoa(r.vnodes))
+	h := hash64(ringSeed, "v1|"+strconv.Itoa(ringVNodes))
 	for _, n := range r.nodes {
-		h ^= hash64(r.seed, n.Name+"="+n.URL)
+		h ^= hash64(ringSeed, n.Name+"="+n.URL)
 		h *= 1099511628211
 	}
 	return strconv.FormatUint(h, 16)
@@ -138,7 +129,7 @@ func (r *Ring) Owners(id string, n int) []Node {
 	if n > len(r.nodes) {
 		n = len(r.nodes)
 	}
-	h := hash64(r.seed, id)
+	h := hash64(ringSeed, id)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]Node, 0, n)
 	seen := make(map[int]struct{}, n)

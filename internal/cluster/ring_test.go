@@ -17,11 +17,11 @@ func ringNodes(names ...string) []Node {
 // every placement — input order, process, and call site must not
 // matter. This is the invariant shard routing rests on.
 func TestRingDeterministic(t *testing.T) {
-	a, err := NewRing(ringNodes("alpha", "beta", "gamma"), 0, 0)
+	a, err := NewRing(ringNodes("alpha", "beta", "gamma"))
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
-	b, err := NewRing(ringNodes("gamma", "alpha", "beta"), 0, 0)
+	b, err := NewRing(ringNodes("gamma", "alpha", "beta"))
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
@@ -41,18 +41,10 @@ func TestRingDeterministic(t *testing.T) {
 			t.Fatalf("Owners(%q) differ: %v vs %v", id, wa, wb)
 		}
 	}
-	// A different seed is a different universe.
-	c, err := NewRing(ringNodes("alpha", "beta", "gamma"), 0, 12345)
-	if err != nil {
-		t.Fatalf("NewRing: %v", err)
-	}
-	if c.Version() == a.Version() {
-		t.Fatalf("different seeds produced the same ring version")
-	}
 }
 
 func TestRingOwnersDistinctAndBounded(t *testing.T) {
-	r, err := NewRing(ringNodes("a", "b", "c"), 0, 0)
+	r, err := NewRing(ringNodes("a", "b", "c"))
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
@@ -80,7 +72,7 @@ func TestRingOwnersDistinctAndBounded(t *testing.T) {
 // may fall below half or rise above double its fair share. Loose
 // bounds — this guards against a broken hash, not imperfect balance.
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing(ringNodes("a", "b", "c"), 0, 0)
+	r, err := NewRing(ringNodes("a", "b", "c"))
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
@@ -101,11 +93,11 @@ func TestRingBalance(t *testing.T) {
 // else's owner is untouched. This bounds migration churn on a ring
 // change.
 func TestRingMinimalDisruption(t *testing.T) {
-	full, err := NewRing(ringNodes("a", "b", "c"), 0, 0)
+	full, err := NewRing(ringNodes("a", "b", "c"))
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
-	smaller, err := NewRing(ringNodes("a", "b"), 0, 0)
+	smaller, err := NewRing(ringNodes("a", "b"))
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
@@ -129,13 +121,13 @@ func TestRingMinimalDisruption(t *testing.T) {
 }
 
 func TestRingRejectsBadMembership(t *testing.T) {
-	if _, err := NewRing([]Node{{Name: ""}}, 0, 0); err == nil {
+	if _, err := NewRing([]Node{{Name: ""}}); err == nil {
 		t.Fatal("empty node name accepted")
 	}
-	if _, err := NewRing(ringNodes("dup", "dup"), 0, 0); err == nil {
+	if _, err := NewRing(ringNodes("dup", "dup")); err == nil {
 		t.Fatal("duplicate node name accepted")
 	}
-	empty, err := NewRing(nil, 0, 0)
+	empty, err := NewRing(nil)
 	if err != nil {
 		t.Fatalf("empty ring rejected: %v", err)
 	}

@@ -14,7 +14,7 @@
 //     spacing, detecting clock drift against the declared rate and
 //     recovering traces with no rate metadata at all;
 //   - off-grid timestamps are resampled onto the nominal uniform grid
-//     by linear interpolation, short gaps (<= MaxGapS) are bridged, and
+//     by linear interpolation, short gaps (<= 2 s) are bridged, and
 //     long gaps split the trace into independent segments;
 //   - clipped/saturated runs are flagged (not repaired) so downstream
 //     consumers can discount the affected intervals.
@@ -54,57 +54,26 @@ type Hooks interface {
 	ConditionStageDone(stage string, seconds float64)
 }
 
-// Config tunes the conditioner. Zero values select the defaults noted
-// per field.
+// Config tunes the conditioner.
 type Config struct {
 	// NominalRate is the output grid rate in Hz. 0 uses the trace's
 	// declared SampleRate, falling back to the estimated effective rate
-	// when the declaration is missing or drifts beyond DriftTol.
+	// when the declaration is missing or drifts beyond driftTol.
 	NominalRate float64
-	// MaxGapS bounds gap bridging: holes up to this long are filled by
-	// linear interpolation, longer ones split the trace. Default 2 s.
-	MaxGapS float64
-	// JitterTol is how far (as a fraction of the sample period) a raw
-	// timestamp may sit from its grid point and still be emitted
-	// verbatim rather than interpolated. Default 0.25.
-	JitterTol float64
-	// DriftTol is the tolerated relative disagreement between the
-	// declared and the estimated effective rate before the conditioner
-	// distrusts the declaration and resamples at the effective rate.
-	// Default 0.02 (2%).
-	DriftTol float64
-	// ClipLimit flags saturated readings: samples with any acceleration
-	// component at or beyond this magnitude count toward clipped runs.
-	// Default 39.24 m/s^2 (±4 g, a common wearable accelerometer range).
-	ClipLimit float64
-	// ClipRunMin is the minimum consecutive clipped samples that count
-	// as a saturated run. Default 3.
-	ClipRunMin int
 	// Hooks receives defect counters, the gap histogram and per-stage
 	// wall time. Nil disables instrumentation.
 	Hooks Hooks
 }
 
-// WithDefaults returns the config with every zero field replaced by its
-// documented default.
-func (c Config) WithDefaults() Config {
-	if c.MaxGapS == 0 {
-		c.MaxGapS = 2
-	}
-	if c.JitterTol == 0 {
-		c.JitterTol = 0.25
-	}
-	if c.DriftTol == 0 {
-		c.DriftTol = 0.02
-	}
-	if c.ClipLimit == 0 {
-		c.ClipLimit = 39.24
-	}
-	if c.ClipRunMin == 0 {
-		c.ClipRunMin = 3
-	}
-	return c
-}
+// The conditioner's fixed repair policy, shared by Condition and the
+// Streamer.
+const (
+	maxGapS    = 2     // longest hole bridged by interpolation, seconds; longer ones split the trace
+	jitterTol  = 0.25  // grid offset, fraction of a period, within which a raw timestamp is kept verbatim
+	driftTol   = 0.02  // declared-vs-estimated rate disagreement beyond which the declaration is distrusted
+	clipLimit  = 39.24 // saturation threshold per acceleration component, m/s^2 (±4 g)
+	clipRunMin = 3     // consecutive clipped samples that count as a saturated run
+)
 
 // Gap is one detected hole in the input timeline.
 type Gap struct {
@@ -134,7 +103,7 @@ type Report struct {
 	EffectiveRate float64 // estimated input rate, Hz (median spacing)
 	NominalRate   float64 // output grid rate, Hz
 	MissingRate   bool    // the trace declared no usable sample rate
-	RateDrift     bool    // declared rate distrusted (drift > DriftTol)
+	RateDrift     bool    // declared rate distrusted (drift > driftTol)
 	Resampled     bool    // output differs from input samples
 	Clean         bool    // input already satisfied the contract (pass-through)
 }
@@ -166,7 +135,6 @@ var ErrUnusable = errors.New("condition: no usable samples")
 // fields, strictly increasing on-grid timestamps) is returned as a
 // single segment that IS the input trace — a zero-copy no-op.
 func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
-	cfg = cfg.WithDefaults()
 	if tr == nil || len(tr.Samples) == 0 {
 		return nil, nil, ErrEmpty
 	}
@@ -179,14 +147,14 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 	}
 
 	t0 := time.Now()
-	clean := inspect(tr.Samples, declared, cfg)
+	clean := inspect(tr.Samples, declared)
 	stageDone(h, "inspect", t0)
 	if clean {
 		rep.Clean = true
 		rep.EffectiveRate = declared
 		rep.NominalRate = declared
 		rep.Output = len(tr.Samples)
-		countClipping(tr.Samples, cfg, rep)
+		countClipping(tr.Samples, rep)
 		reportDefects(h, rep)
 		return []*trace.Trace{tr}, rep, nil
 	}
@@ -237,7 +205,7 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 			rep.MissingRate = true
 			nominal = rep.EffectiveRate
 		case rep.EffectiveRate > 0 &&
-			math.Abs(rep.EffectiveRate-declared)/declared > cfg.DriftTol:
+			math.Abs(rep.EffectiveRate-declared)/declared > driftTol:
 			rep.RateDrift = true
 			nominal = rep.EffectiveRate
 		default:
@@ -261,7 +229,7 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 	for i := 1; i <= len(samples); i++ {
 		if i < len(samples) {
 			gap := samples[i].T - samples[i-1].T
-			if gap <= cfg.MaxGapS {
+			if gap <= maxGapS {
 				continue
 			}
 			rep.GapsSplit++
@@ -270,7 +238,7 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 				h.ConditionGap(gap)
 			}
 		}
-		seg := resampleSegment(samples[segStart:i], nominal, dt, cfg, rep, h)
+		seg := resampleSegment(samples[segStart:i], nominal, dt, rep, h)
 		if len(seg) < 2 {
 			rep.Rejected += i - segStart
 		} else {
@@ -280,7 +248,7 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 				Label:      tr.Label,
 			})
 			rep.Output += len(seg)
-			countClipping(seg, cfg, rep)
+			countClipping(seg, rep)
 		}
 		segStart = i
 	}
@@ -294,13 +262,13 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 
 // inspect reports whether the samples already satisfy the ingestion
 // contract at the declared rate: finite fields, strictly increasing
-// timestamps within JitterTol of the uniform grid.
-func inspect(samples []trace.Sample, declared float64, cfg Config) bool {
+// timestamps within jitterTol of the uniform grid.
+func inspect(samples []trace.Sample, declared float64) bool {
 	if !(declared > 0) || math.IsInf(declared, 1) {
 		return false
 	}
 	dt := 1 / declared
-	tol := cfg.JitterTol * dt
+	tol := jitterTol * dt
 	t0 := samples[0].T
 	for i, s := range samples {
 		if !finiteSample(s) {
@@ -318,17 +286,17 @@ func inspect(samples []trace.Sample, declared float64, cfg Config) bool {
 
 // resampleSegment projects one gap-free-enough run of raw samples onto
 // the uniform grid anchored at its first timestamp. Raw samples within
-// JitterTol of their grid point are emitted verbatim (timestamp snapped);
+// jitterTol of their grid point are emitted verbatim (timestamp snapped);
 // everything else is linearly interpolated. Holes above 1.5 sample
 // periods are counted as bridged gaps.
-func resampleSegment(raw []trace.Sample, rate, dt float64, cfg Config, rep *Report, h Hooks) []trace.Sample {
+func resampleSegment(raw []trace.Sample, rate, dt float64, rep *Report, h Hooks) []trace.Sample {
 	if len(raw) < 2 {
 		return nil
 	}
 	t0 := raw[0].T
 	span := raw[len(raw)-1].T - t0
 	n := int(math.Round(span*rate)) + 1
-	tol := cfg.JitterTol * dt
+	tol := jitterTol * dt
 	out := make([]trace.Sample, 0, n)
 	j := 0
 	for i := 0; i < n; i++ {
@@ -371,17 +339,17 @@ func resampleSegment(raw []trace.Sample, rate, dt float64, cfg Config, rep *Repo
 }
 
 // countClipping flags saturated runs in a finished sample run.
-func countClipping(samples []trace.Sample, cfg Config, rep *Report) {
+func countClipping(samples []trace.Sample, rep *Report) {
 	run := 0
 	flush := func() {
-		if run >= cfg.ClipRunMin {
+		if run >= clipRunMin {
 			rep.ClippedSamples += run
 			rep.ClippedRuns++
 		}
 		run = 0
 	}
 	for _, s := range samples {
-		if clipped(s, cfg.ClipLimit) {
+		if clipped(s) {
 			run++
 		} else {
 			flush()
@@ -390,10 +358,10 @@ func countClipping(samples []trace.Sample, cfg Config, rep *Report) {
 	flush()
 }
 
-func clipped(s trace.Sample, limit float64) bool {
-	return math.Abs(s.Accel.X) >= limit ||
-		math.Abs(s.Accel.Y) >= limit ||
-		math.Abs(s.Accel.Z) >= limit
+func clipped(s trace.Sample) bool {
+	return math.Abs(s.Accel.X) >= clipLimit ||
+		math.Abs(s.Accel.Y) >= clipLimit ||
+		math.Abs(s.Accel.Z) >= clipLimit
 }
 
 func finiteSample(s trace.Sample) bool {

@@ -18,7 +18,6 @@ type StreamConfig struct {
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
-	c.Config = c.Config.WithDefaults()
 	if c.ReorderWindow == 0 {
 		c.ReorderWindow = int(c.NominalRate / 8)
 		if c.ReorderWindow < 8 {
@@ -67,7 +66,7 @@ func NewStreamer(cfg StreamConfig) (*Streamer, error) {
 		return nil, fmt.Errorf("condition: nominal rate must be positive and finite, got %v", cfg.NominalRate)
 	}
 	dt := 1 / cfg.NominalRate
-	return &Streamer{cfg: cfg, dt: dt, tol: cfg.JitterTol * dt}, nil
+	return &Streamer{cfg: cfg, dt: dt, tol: jitterTol * dt}, nil
 }
 
 // Report returns the running defect report. The pointee is live — it
@@ -175,7 +174,7 @@ func (s *Streamer) commit(c trace.Sample) {
 		return
 	}
 	gap := c.T - s.prev.T
-	if gap > s.cfg.MaxGapS {
+	if gap > maxGapS {
 		s.rep.GapsSplit++
 		s.rep.Gaps = append(s.rep.Gaps, Gap{Start: s.prev.T, Duration: gap})
 		s.defect("gap_split")
@@ -218,7 +217,7 @@ func (s *Streamer) commit(c trace.Sample) {
 }
 
 func (s *Streamer) emit(out trace.Sample, split bool) {
-	if clipped(out, s.cfg.ClipLimit) {
+	if clipped(out) {
 		s.clipRun++
 	} else {
 		s.endClipRun()
@@ -228,7 +227,7 @@ func (s *Streamer) emit(out trace.Sample, split bool) {
 }
 
 func (s *Streamer) endClipRun() {
-	if s.clipRun >= s.cfg.ClipRunMin {
+	if s.clipRun >= clipRunMin {
 		s.rep.ClippedSamples += s.clipRun
 		s.rep.ClippedRuns++
 		s.defect("clipped_run")

@@ -22,14 +22,9 @@ import (
 // with all documented defaults but cannot estimate strides (no user
 // profile); set Profile to enable the stride estimator.
 type Config struct {
-	Segment  segment.Config
 	Identify gaitid.Config
 	// Profile enables stride estimation when non-nil.
 	Profile *stride.Config
-	// MarginFraction is the context added on each side of a gait-cycle
-	// candidate before classification, as a fraction of the cycle length.
-	// Default 0.25.
-	MarginFraction float64
 	// AdaptiveDelta enables the adaptive offset threshold (the paper's
 	// stated future work): δ tracks the widest gap of the recent offset
 	// distribution instead of staying fixed.
@@ -38,13 +33,6 @@ type Config struct {
 	// step credits. Nil (the default) disables instrumentation entirely;
 	// the nil path adds no allocations and no timer reads.
 	Hooks *obs.Hooks
-}
-
-func (c Config) withDefaults() Config {
-	if c.MarginFraction == 0 {
-		c.MarginFraction = 0.25
-	}
-	return c
 }
 
 // CycleOutcome reports one classified gait-cycle candidate.
@@ -117,7 +105,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 // decomposer selects the default gravity projection with buffer
 // recycling.
 func newPipeline(cfg Config, decompose Decomposer) (*Pipeline, error) {
-	cfg = cfg.withDefaults()
 	p := &Pipeline{cfg: cfg, decompose: decompose}
 	p.dec.Hooks = cfg.Hooks
 	if cfg.Profile != nil {
@@ -163,7 +150,7 @@ func (p *Pipeline) Process(tr *trace.Trace) (*Result, error) {
 		h.TraceProcessed()
 		t0 = time.Now()
 	}
-	seg := segment.Segment(tr, cfg.Segment)
+	seg := segment.Segment(tr, segment.Config{})
 	if h != nil {
 		h.StageDone(obs.StageSegment, time.Since(t0))
 		t0 = time.Now()
@@ -195,7 +182,7 @@ func (p *Pipeline) Process(tr *trace.Trace) (*Result, error) {
 	for _, cyc := range seg.Cycles {
 		// Context on both sides of the cycle, shrunk symmetrically to
 		// fit inside the trace.
-		margin := int(cfg.MarginFraction * float64(cyc.Len()))
+		margin := int(gaitid.MarginFraction * float64(cyc.Len()))
 		if margin > cyc.Start {
 			margin = cyc.Start
 		}

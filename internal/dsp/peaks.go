@@ -96,12 +96,6 @@ func appendLocalExtrema(out []Extremum, x []float64) []Extremum {
 
 // PeakOptions controls FindPeaks.
 type PeakOptions struct {
-	// MinHeight discards maxima below this value. Zero means no height
-	// constraint (note: not "height 0"); use math.Inf(-1) semantics by
-	// leaving it unset if peaks may be negative and unconstrained.
-	MinHeight float64
-	// HasMinHeight enables the MinHeight constraint.
-	HasMinHeight bool
 	// MinDistance discards the smaller of two maxima closer than this many
 	// samples. Zero or negative disables the constraint.
 	MinDistance int
@@ -147,13 +141,9 @@ func (pf *PeakFinder) Find(x []float64, opts PeakOptions) []int {
 	pf.ext = appendLocalExtrema(pf.ext[:0], x)
 	pf.cand = pf.cand[:0]
 	for k, e := range pf.ext {
-		if !e.Max {
-			continue
+		if e.Max {
+			pf.cand = append(pf.cand, k)
 		}
-		if opts.HasMinHeight && e.Value < opts.MinHeight {
-			continue
-		}
-		pf.cand = append(pf.cand, k)
 	}
 	if opts.MinProminence > 0 {
 		kept := pf.cand[:0]

@@ -38,15 +38,6 @@ func TestLocalExtremaEdgesIgnored(t *testing.T) {
 	}
 }
 
-func TestFindPeaksMinHeight(t *testing.T) {
-	x := []float64{0, 1, 0, 5, 0, 2, 0}
-	got := FindPeaks(x, PeakOptions{MinHeight: 1.5, HasMinHeight: true})
-	want := []int{3, 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("peaks = %v, want %v", got, want)
-	}
-}
-
 func TestFindPeaksMinDistanceKeepsTallest(t *testing.T) {
 	x := []float64{0, 3, 0, 5, 0, 1, 0}
 	// Peaks at 1 (h=3), 3 (h=5), 5 (h=1); with distance 3 only index 3
@@ -77,7 +68,7 @@ func TestFindPeaksProminence(t *testing.T) {
 func TestFindPeaksOnPeriodicSignal(t *testing.T) {
 	// 2 Hz sine at 100 Hz for 5 s => 10 peaks.
 	x := sine(500, 2, 100, 1)
-	got := FindPeaks(x, PeakOptions{MinHeight: 0.5, HasMinHeight: true, MinDistance: 25})
+	got := FindPeaks(x, PeakOptions{MinDistance: 25})
 	if len(got) != 10 {
 		t.Errorf("peak count = %d, want 10 (%v)", len(got), got)
 	}
@@ -142,7 +133,7 @@ func TestPeakFinderMatchesFindPeaks(t *testing.T) {
 		{MinProminence: 0.5},
 		{MinDistance: 7},
 		{MinProminence: 0.3, MinDistance: 11},
-		{HasMinHeight: true, MinHeight: 0.2, MinProminence: 0.4, MinDistance: 5},
+		{MinProminence: 0.4, MinDistance: 5},
 	}
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(200)

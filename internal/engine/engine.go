@@ -114,6 +114,11 @@ func (p *Pool) Process(ctx context.Context, traces []*trace.Trace) ([]Item, erro
 	next := 0
 feed:
 	for ; next < len(traces); next++ {
+		// A select with both cases ready picks at random, so check the
+		// context first: a cancelled batch starts no further trace.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case idx <- next:
 		case <-ctx.Done():

@@ -60,7 +60,7 @@ func trainSCAR(opt Options) *baseline.SCAR {
 			training[a] = append(training[a], rec.Trace)
 		}
 	}
-	s, err := baseline.NewSCAR(baseline.SCARConfig{}, training)
+	s, err := baseline.NewSCAR(training)
 	if err != nil {
 		panic(fmt.Sprintf("eval: SCAR training: %v", err))
 	}

@@ -44,7 +44,7 @@ func calibrationScript(duration float64) []gaitsim.Segment {
 func userProfiles(p gaitsim.Profile, seed int64, scale float64) (auto, manual stride.Config, err error) {
 	cal := mustSimulate(p, simCfg(seed), calibrationScript(180*scale))
 
-	auto, _, err = selftrain.Train(cal.Trace, cal.Truth.Distance, selftrain.Options{})
+	auto, _, err = selftrain.Train(cal.Trace, cal.Truth.Distance)
 	if err != nil {
 		return auto, manual, fmt.Errorf("self-training: %w", err)
 	}
@@ -58,7 +58,7 @@ func userProfiles(p gaitsim.Profile, seed int64, scale float64) (auto, manual st
 		LegLength: p.LegLength + rng.NormFloat64()*0.03,
 		K:         2.35,
 	}
-	k, kerr := selftrain.CalibrateK(cal.Trace, manual, cal.Truth.Distance, selftrain.Options{})
+	k, kerr := selftrain.CalibrateK(cal.Trace, manual, cal.Truth.Distance)
 	if kerr != nil {
 		return auto, manual, fmt.Errorf("manual k calibration: %w", kerr)
 	}

@@ -30,6 +30,12 @@ type Decision struct {
 	Backfill []Pending
 }
 
+// MarginFraction is the classification context added on each side of a
+// gait-cycle candidate, as a fraction of the cycle length; the batch
+// pipeline, the online tracker and self-training all window cycles with
+// it before ClassifyWindow.
+const MarginFraction = 0.25
+
 // Decider runs the per-cycle decision of Fig. 4 — the streak-breaking
 // gap rule, the (optionally adaptive) offset threshold δ, identification,
 // stepping confirmation with back-fill, and stride estimation — for

@@ -37,19 +37,15 @@ type Config struct {
 	// ConfirmCount is how many consecutive qualifying cycles confirm
 	// stepping. Default 3 (Fig. 4).
 	ConfirmCount int
-	// RelProminence is the critical-point prominence floor as a fraction
-	// of the window's signal range. Default 0.12.
-	RelProminence float64
-	// SmoothCutoffHz low-passes (zero-phase) both directions before
-	// critical-point analysis. Default 4.5 Hz.
-	SmoothCutoffHz float64
-	// MinPhaseCorr is the minimum cross-correlation magnitude for the
-	// quarter-period phase test. Default 0.4.
-	MinPhaseCorr float64
-	// PhaseTolerance accepts best lags within this fraction around the
-	// ideal quarter-of-step-period lag. Default 0.5.
-	PhaseTolerance float64
 }
+
+// The identifier's fixed signal-analysis parameters.
+const (
+	relProminence  = 0.12 // critical-point prominence floor, fraction of the window's signal range
+	smoothCutoffHz = 4.5  // zero-phase low-pass of both directions before critical-point analysis, Hz
+	minPhaseCorr   = 0.4  // minimum cross-correlation magnitude for the quarter-period phase test
+	phaseTolerance = 0.5  // accepted best-lag deviation, fraction of the ideal quarter-period lag
+)
 
 func (c Config) withDefaults() Config {
 	if c.OffsetThreshold == 0 {
@@ -57,18 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ConfirmCount == 0 {
 		c.ConfirmCount = 3
-	}
-	if c.RelProminence == 0 {
-		c.RelProminence = 0.12
-	}
-	if c.SmoothCutoffHz == 0 {
-		c.SmoothCutoffHz = 4.5
-	}
-	if c.MinPhaseCorr == 0 {
-		c.MinPhaseCorr = 0.4
-	}
-	if c.PhaseTolerance == 0 {
-		c.PhaseTolerance = 0.5
 	}
 	return c
 }
@@ -111,7 +95,7 @@ type Identifier struct {
 // rate.
 func NewIdentifier(cfg Config, sampleRate float64) *Identifier {
 	cfg = cfg.withDefaults()
-	bq, err := dsp.NewLowPassBiquad(cfg.SmoothCutoffHz, sampleRate)
+	bq, err := dsp.NewLowPassBiquad(smoothCutoffHz, sampleRate)
 	if err != nil {
 		bq = nil
 	}
@@ -205,7 +189,7 @@ func (id *Identifier) ClassifyWindow(vertical, anterior []float64, margin int) C
 	a := aFull[margin : len(aFull)-margin]
 	vCore := v[margin : len(v)-margin]
 
-	res.Offset, res.OffsetOK = id.sc.offsetMetricMargin(v, aFull, id.cfg.RelProminence, margin)
+	res.Offset, res.OffsetOK = id.sc.offsetMetricMargin(v, aFull, relProminence, margin)
 	if res.OffsetOK && res.Offset > id.cfg.OffsetThreshold {
 		res.Label = LabelWalking
 		res.StepsAdded = 2
@@ -265,14 +249,14 @@ func (id *Identifier) phaseDifferenceOK(vertical, anterior []float64) bool {
 	maxLag := n / 4
 	id.ck.Reset(vertical, anterior)
 	bestLag, bestCorr := id.ck.BestLag(maxLag)
-	if absF(bestCorr) < id.cfg.MinPhaseCorr {
+	if absF(bestCorr) < minPhaseCorr {
 		return false
 	}
 	lag := bestLag
 	if lag < 0 {
 		lag = -lag
 	}
-	tol := id.cfg.PhaseTolerance * float64(quarter)
+	tol := phaseTolerance * float64(quarter)
 	d := float64(lag) - float64(quarter)
 	if d < 0 {
 		d = -d

@@ -20,24 +20,28 @@ type Config struct {
 	// LowPassCutoffHz smooths the magnitude before peak detection.
 	// Default 5 Hz — keeps the step impacts, drops sensor noise.
 	LowPassCutoffHz float64
-	// MinPeakProminence rejects ripples, m/s^2. Default 0.8.
-	MinPeakProminence float64
+}
+
+// The candidate detector's fixed parameters, shared by the batch
+// segmenter and the streaming tracker (internal/stream).
+const (
+	// MinPeakProminence rejects ripples, m/s^2.
+	MinPeakProminence = 0.8
 	// MinPeakDistanceS enforces a refractory period between step peaks,
-	// seconds. Default 0.25 (max 4 steps/s).
-	MinPeakDistanceS float64
-	// MinCycleS / MaxCycleS bound a plausible gait cycle (two steps).
-	// Defaults 0.6 and 2.8 s.
-	MinCycleS float64
-	MaxCycleS float64
+	// seconds (max 4 steps/s).
+	MinPeakDistanceS = 0.25
+	// MinCycleS and MaxCycleS bound a plausible gait cycle (two steps),
+	// seconds.
+	MinCycleS = 0.6
+	MaxCycleS = 2.8
 	// MaxPeriodRatio bounds how unequal the two step intervals within one
-	// candidate cycle may be. Default 1.8.
-	MaxPeriodRatio float64
+	// candidate cycle may be.
+	MaxPeriodRatio = 1.8
 	// MaxAmplitudeRatio bounds how unequal the peak heights within one
 	// candidate cycle may be — steady gait produces near-equal step
 	// impacts, while the ramp-up of a sporadic gesture does not.
-	// Default 1.8.
-	MaxAmplitudeRatio float64
-}
+	MaxAmplitudeRatio = 1.8
+)
 
 // WithDefaults returns the config with every zero field replaced by its
 // documented default. It is the single source of truth for front-end
@@ -47,24 +51,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.LowPassCutoffHz == 0 {
 		c.LowPassCutoffHz = 5
-	}
-	if c.MinPeakProminence == 0 {
-		c.MinPeakProminence = 0.8
-	}
-	if c.MinPeakDistanceS == 0 {
-		c.MinPeakDistanceS = 0.25
-	}
-	if c.MinCycleS == 0 {
-		c.MinCycleS = 0.6
-	}
-	if c.MaxCycleS == 0 {
-		c.MaxCycleS = 2.8
-	}
-	if c.MaxPeriodRatio == 0 {
-		c.MaxPeriodRatio = 1.8
-	}
-	if c.MaxAmplitudeRatio == 0 {
-		c.MaxAmplitudeRatio = 1.8
 	}
 	return c
 }
@@ -104,11 +90,11 @@ func Segment(tr *trace.Trace, cfg Config) *Result {
 	res.Magnitude = mag
 
 	res.Peaks = dsp.FindPeaks(mag, dsp.PeakOptions{
-		MinProminence: cfg.MinPeakProminence,
-		MinDistance:   int(math.Round(cfg.MinPeakDistanceS * tr.SampleRate)),
+		MinProminence: MinPeakProminence,
+		MinDistance:   int(math.Round(MinPeakDistanceS * tr.SampleRate)),
 	})
 
-	res.Cycles = pairCycles(res.Peaks, mag, tr.SampleRate, cfg)
+	res.Cycles = pairCycles(res.Peaks, mag, tr.SampleRate)
 	return res
 }
 
@@ -117,12 +103,12 @@ func Segment(tr *trace.Trace, cfg Config) *Result {
 // cycle and its two step intervals are not wildly unequal; otherwise the
 // window advances one peak, so a single spurious peak cannot poison the
 // whole stream.
-func pairCycles(peaks []int, mag []float64, sampleRate float64, cfg Config) []Cycle {
+func pairCycles(peaks []int, mag []float64, sampleRate float64) []Cycle {
 	var cycles []Cycle
 	i := 0
 	for i+2 < len(peaks) {
 		p0, p1, p2 := peaks[i], peaks[i+1], peaks[i+2]
-		if PlausibleCycle(mag, 0, p0, p1, p2, sampleRate, cfg) {
+		if PlausibleCycle(mag, 0, p0, p1, p2, sampleRate) {
 			cycles = append(cycles, Cycle{Start: p0, End: p2, Peaks: [2]int{p0, p1}})
 			i += 2 // non-overlapping: next cycle starts at p2
 		} else {
@@ -138,22 +124,21 @@ func pairCycles(peaks []int, mag []float64, sampleRate float64, cfg Config) []Cy
 // MaxPeriodRatio of each other, and peak heights of the smoothed
 // magnitude within MaxAmplitudeRatio of each other (heights floored at
 // 1e-3). The height of peak p is smooth[p-off], so a caller holding a
-// sliding window passes the window's first absolute index as off. cfg
-// must have its defaults resolved. It is the one cycle rule of the batch
-// segmenter and the streaming tracker.
-func PlausibleCycle(smooth []float64, off, p0, p1, p2 int, sampleRate float64, cfg Config) bool {
+// sliding window passes the window's first absolute index as off. It is
+// the one cycle rule of the batch segmenter and the streaming tracker.
+func PlausibleCycle(smooth []float64, off, p0, p1, p2 int, sampleRate float64) bool {
 	d1 := float64(p1-p0) / sampleRate
 	d2 := float64(p2-p1) / sampleRate
 	total := d1 + d2
 	ratio := math.Max(d1, d2) / math.Max(math.Min(d1, d2), 1e-9)
-	return total >= cfg.MinCycleS && total <= cfg.MaxCycleS &&
-		ratio <= cfg.MaxPeriodRatio &&
-		amplitudeConsistent(smooth, off, p0, p1, p2, cfg.MaxAmplitudeRatio)
+	return total >= MinCycleS && total <= MaxCycleS &&
+		ratio <= MaxPeriodRatio &&
+		amplitudeConsistent(smooth, off, p0, p1, p2)
 }
 
 // amplitudeConsistent reports whether the three step-peak heights are
-// within the allowed ratio of each other.
-func amplitudeConsistent(smooth []float64, off, p0, p1, p2 int, maxRatio float64) bool {
+// within MaxAmplitudeRatio of each other.
+func amplitudeConsistent(smooth []float64, off, p0, p1, p2 int) bool {
 	const floor = 1e-3
 	lo, hi := math.Inf(1), 0.0
 	for _, p := range [3]int{p0, p1, p2} {
@@ -168,5 +153,5 @@ func amplitudeConsistent(smooth []float64, off, p0, p1, p2 int, maxRatio float64
 			hi = h
 		}
 	}
-	return hi/lo <= maxRatio
+	return hi/lo <= MaxAmplitudeRatio
 }

@@ -12,15 +12,15 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.LowPassCutoffHz != 5 || c.MinPeakProminence != 0.8 ||
-		c.MinPeakDistanceS != 0.25 || c.MinCycleS != 0.6 ||
-		c.MaxCycleS != 2.8 || c.MaxPeriodRatio != 1.8 {
+	if c.LowPassCutoffHz != 5 || MinPeakProminence != 0.8 ||
+		MinPeakDistanceS != 0.25 || MinCycleS != 0.6 ||
+		MaxCycleS != 2.8 || MaxPeriodRatio != 1.8 {
 		t.Errorf("defaults = %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{MinPeakProminence: 2}.WithDefaults()
-	if c2.MinPeakProminence != 2 {
-		t.Error("explicit prominence overridden")
+	c2 := Config{LowPassCutoffHz: 2}.WithDefaults()
+	if c2.LowPassCutoffHz != 2 {
+		t.Error("explicit cutoff overridden")
 	}
 }
 
@@ -175,24 +175,18 @@ func TestSegmentOnIdleProducesNothing(t *testing.T) {
 
 func TestWithDefaultsFillsEveryField(t *testing.T) {
 	d := Config{}.WithDefaults()
-	want := Config{
-		LowPassCutoffHz:   5,
-		MinPeakProminence: 0.8,
-		MinPeakDistanceS:  0.25,
-		MinCycleS:         0.6,
-		MaxCycleS:         2.8,
-		MaxPeriodRatio:    1.8,
-		MaxAmplitudeRatio: 1.8,
-	}
-	if d != want {
+	if want := (Config{LowPassCutoffHz: 5}); d != want {
 		t.Errorf("WithDefaults() = %+v, want %+v", d, want)
 	}
-	// Non-zero fields survive.
-	c := Config{LowPassCutoffHz: 3, MinCycleS: 0.4}.WithDefaults()
-	if c.LowPassCutoffHz != 3 || c.MinCycleS != 0.4 {
-		t.Errorf("WithDefaults clobbered explicit fields: %+v", c)
+	// The fixed cycle rule keeps the values the defaults used to carry.
+	got := [...]float64{MinPeakProminence, MinPeakDistanceS, MinCycleS, MaxCycleS, MaxPeriodRatio, MaxAmplitudeRatio}
+	want := [...]float64{0.8, 0.25, 0.6, 2.8, 1.8, 1.8}
+	if got != want {
+		t.Errorf("constants = %v, want %v", got, want)
 	}
-	if c.MaxCycleS != 2.8 {
-		t.Errorf("WithDefaults left MaxCycleS = %v", c.MaxCycleS)
+	// Non-zero fields survive.
+	c := Config{LowPassCutoffHz: 3}.WithDefaults()
+	if c.LowPassCutoffHz != 3 {
+		t.Errorf("WithDefaults clobbered explicit fields: %+v", c)
 	}
 }

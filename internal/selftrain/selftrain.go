@@ -34,34 +34,13 @@ import (
 	"ptrack/internal/trace"
 )
 
-// Options bounds the searches. Zero values select the defaults noted.
-type Options struct {
-	MinArm      float64 // search lower bound, default 0.40 m
-	MaxArm      float64 // search upper bound, default 0.95 m
-	LegArmRatio float64 // anthropometric l/m ratio, default 1.45
-	InitialK    float64 // population prior for k, default 2.35
-	// MarginFraction mirrors core.Config's margin. Default 0.25.
-	MarginFraction float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinArm == 0 {
-		o.MinArm = 0.40
-	}
-	if o.MaxArm == 0 {
-		o.MaxArm = 0.95
-	}
-	if o.LegArmRatio == 0 {
-		o.LegArmRatio = 1.45
-	}
-	if o.InitialK == 0 {
-		o.InitialK = 2.35
-	}
-	if o.MarginFraction == 0 {
-		o.MarginFraction = 0.25
-	}
-	return o
-}
+// The searches' fixed bounds and priors.
+const (
+	minArm      = 0.40 // arm search lower bound, m
+	maxArm      = 0.95 // arm search upper bound, m
+	legArmRatio = 1.45 // anthropometric l/m ratio
+	initialK    = 2.35 // population prior for k
+)
 
 // Diagnostics reports what the trainer saw.
 type Diagnostics struct {
@@ -80,14 +59,13 @@ type triple struct{ h1, h2, d float64 }
 // natural walking and (ideally) some stepping. knownDistance, when
 // positive, is the true distance covered during the trace and calibrates
 // k; pass 0 to keep the population prior.
-func Train(tr *trace.Trace, knownDistance float64, opt Options) (stride.Config, Diagnostics, error) {
-	opt = opt.withDefaults()
+func Train(tr *trace.Trace, knownDistance float64) (stride.Config, Diagnostics, error) {
 	var diag Diagnostics
 	if tr == nil || tr.SampleRate <= 0 || len(tr.Samples) == 0 {
 		return stride.Config{}, diag, fmt.Errorf("selftrain: non-empty trace required")
 	}
 
-	triples, stepBounces, err := collect(tr, opt)
+	triples, stepBounces, err := collect(tr)
 	if err != nil {
 		return stride.Config{}, diag, err
 	}
@@ -97,10 +75,10 @@ func Train(tr *trace.Trace, knownDistance float64, opt Options) (stride.Config, 
 		return stride.Config{}, diag, fmt.Errorf("selftrain: no walking steps found in calibration trace")
 	}
 
-	arm := (opt.MinArm + opt.MaxArm) / 2
+	arm := (minArm + maxArm) / 2
 	if len(stepBounces) >= 4 {
 		target := median(stepBounces)
-		arm = searchArm(triples, target, opt)
+		arm = searchArm(triples, target)
 		diag.ArmConverged = true
 		diag.MedianStepB = target
 	}
@@ -108,12 +86,12 @@ func Train(tr *trace.Trace, knownDistance float64, opt Options) (stride.Config, 
 
 	cfg := stride.Config{
 		ArmLength: arm,
-		LegLength: opt.LegArmRatio * arm,
-		K:         opt.InitialK,
+		LegLength: legArmRatio * arm,
+		K:         initialK,
 	}
 
 	if knownDistance > 0 {
-		k, ok := calibrateK(tr, cfg, knownDistance, opt)
+		k, ok := calibrateK(tr, cfg, knownDistance)
 		if ok {
 			cfg.K = k
 			diag.KFromDistance = true
@@ -125,12 +103,11 @@ func Train(tr *trace.Trace, knownDistance float64, opt Options) (stride.Config, 
 // CalibrateK refits only the Eq. (2) calibration factor of an existing
 // profile against a recording with a known distance — the initialization
 // step the paper applies to manually measured profiles too.
-func CalibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64, opt Options) (float64, error) {
-	opt = opt.withDefaults()
+func CalibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64) (float64, error) {
 	if knownDistance <= 0 {
 		return 0, fmt.Errorf("selftrain: known distance must be positive, got %v", knownDistance)
 	}
-	k, ok := calibrateK(tr, cfg, knownDistance, opt)
+	k, ok := calibrateK(tr, cfg, knownDistance)
 	if !ok {
 		return 0, fmt.Errorf("selftrain: calibration trace yielded no distance estimate")
 	}
@@ -140,10 +117,10 @@ func CalibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64, opt O
 // collect runs the identification pipeline and harvests per-step
 // measurements: (h1,h2,d) triples from walking cycles, direct bounces
 // from stepping cycles.
-func collect(tr *trace.Trace, opt Options) ([]triple, []float64, error) {
+func collect(tr *trace.Trace) ([]triple, []float64, error) {
 	// The placeholder profile only routes the estimator; h1/h2/d and the
 	// stepping bounce do not depend on it.
-	est, err := stride.New(stride.Config{ArmLength: 0.65, LegLength: 0.95, K: opt.InitialK})
+	est, err := stride.New(stride.Config{ArmLength: 0.65, LegLength: 0.95, K: initialK})
 	if err != nil {
 		return nil, nil, fmt.Errorf("selftrain: %w", err)
 	}
@@ -154,7 +131,7 @@ func collect(tr *trace.Trace, opt Options) ([]triple, []float64, error) {
 	var triples []triple
 	var stepBounces []float64
 	for _, cyc := range seg.Cycles {
-		margin := int(opt.MarginFraction * float64(cyc.Len()))
+		margin := int(gaitid.MarginFraction * float64(cyc.Len()))
 		start, end := cyc.Start-margin, cyc.End+margin
 		if start < 0 || end > len(tr.Samples) {
 			continue
@@ -186,8 +163,8 @@ func collect(tr *trace.Trace, opt Options) ([]triple, []float64, error) {
 // target. The walking bounce decreases monotonically in the assumed arm
 // length (a longer arm explains more of the anterior travel d, leaving
 // less for the bounce), so a bisection suffices.
-func searchArm(triples []triple, target float64, opt Options) float64 {
-	lo, hi := opt.MinArm, opt.MaxArm
+func searchArm(triples []triple, target float64) float64 {
+	lo, hi := minArm, maxArm
 	bLo := medianWalkBounce(triples, lo) // largest bounce
 	bHi := medianWalkBounce(triples, hi) // smallest bounce
 	if target >= bLo {
@@ -220,7 +197,7 @@ func medianWalkBounce(triples []triple, arm float64) float64 {
 
 // calibrateK estimates the distance with the candidate profile and scales
 // k so the estimate matches the known distance (stride is linear in k).
-func calibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64, opt Options) (float64, bool) {
+func calibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64) (float64, bool) {
 	est, err := stride.New(cfg)
 	if err != nil {
 		return 0, false
@@ -232,7 +209,7 @@ func calibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64, opt O
 	var distance float64
 	var steps int
 	for _, cyc := range seg.Cycles {
-		margin := int(opt.MarginFraction * float64(cyc.Len()))
+		margin := int(gaitid.MarginFraction * float64(cyc.Len()))
 		start, end := cyc.Start-margin, cyc.End+margin
 		if start < 0 || end > len(tr.Samples) {
 			continue

@@ -27,10 +27,10 @@ func calibrationRecording(t *testing.T, seed int64) *trace.Recording {
 }
 
 func TestTrainValidation(t *testing.T) {
-	if _, _, err := Train(nil, 0, Options{}); err == nil {
+	if _, _, err := Train(nil, 0); err == nil {
 		t.Error("nil trace should fail")
 	}
-	if _, _, err := Train(&trace.Trace{SampleRate: 100}, 0, Options{}); err == nil {
+	if _, _, err := Train(&trace.Trace{SampleRate: 100}, 0); err == nil {
 		t.Error("empty trace should fail")
 	}
 }
@@ -40,14 +40,14 @@ func TestTrainNoWalking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Train(rec.Trace, 0, Options{}); err == nil {
+	if _, _, err := Train(rec.Trace, 0); err == nil {
 		t.Error("idle trace should fail (no walking steps)")
 	}
 }
 
 func TestTrainProducesValidProfile(t *testing.T) {
 	rec := calibrationRecording(t, 21)
-	cfg, diag, err := Train(rec.Trace, rec.Truth.Distance, Options{})
+	cfg, diag, err := Train(rec.Trace, rec.Truth.Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestTrainProducesValidProfile(t *testing.T) {
 
 func TestTrainDeterministic(t *testing.T) {
 	rec := calibrationRecording(t, 22)
-	a, _, err := Train(rec.Trace, rec.Truth.Distance, Options{})
+	a, _, err := Train(rec.Trace, rec.Truth.Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Train(rec.Trace, rec.Truth.Distance, Options{})
+	b, _, err := Train(rec.Trace, rec.Truth.Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTrainWithoutSteppingFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trained, diag, err := Train(rec.Trace, rec.Truth.Distance, Options{})
+	trained, diag, err := Train(rec.Trace, rec.Truth.Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTrainWithoutSteppingFallsBack(t *testing.T) {
 func TestTrainedProfileDistanceAccuracy(t *testing.T) {
 	// Train on one recording, evaluate distance on a fresh one.
 	recTrain := calibrationRecording(t, 23)
-	cfg, _, err := Train(recTrain.Trace, recTrain.Truth.Distance, Options{})
+	cfg, _, err := Train(recTrain.Trace, recTrain.Truth.Distance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTrainedProfileDistanceAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotErr := CalibrateK(recEval.Trace, cfg, recEval.Truth.Distance, Options{})
+	got, gotErr := CalibrateK(recEval.Trace, cfg, recEval.Truth.Distance)
 	if gotErr != nil {
 		t.Fatal(gotErr)
 	}
@@ -140,18 +140,18 @@ func TestTrainedProfileDistanceAccuracy(t *testing.T) {
 
 func TestCalibrateKValidation(t *testing.T) {
 	rec := calibrationRecording(t, 24)
-	cfg, _, err := Train(rec.Trace, 0, Options{})
+	cfg, _, err := Train(rec.Trace, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CalibrateK(rec.Trace, cfg, -5, Options{}); err == nil {
+	if _, err := CalibrateK(rec.Trace, cfg, -5); err == nil {
 		t.Error("negative distance should fail")
 	}
 	idle, err := gaitsim.SimulateActivity(gaitsim.DefaultProfile(), gaitsim.DefaultConfig(), trace.ActivityIdle, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CalibrateK(idle.Trace, cfg, 100, Options{}); err == nil {
+	if _, err := CalibrateK(idle.Trace, cfg, 100); err == nil {
 		t.Error("idle trace should fail calibration")
 	}
 }

@@ -465,6 +465,45 @@ func TestE2ERequestValidation(t *testing.T) {
 	}
 }
 
+// TestE2EBatchBodyGrammar pins the /v1/batch body contract: malformed
+// bodies answer 400, more than 256 traces or an oversized body 413, and
+// a non-finite number reaches admission, which refuses only its trace.
+func TestE2EBatchBodyGrammar(t *testing.T) {
+	_, base := startServer(t, server.Config{SampleRate: 100, MaxBodyBytes: 64 << 10})
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/batch", wire.ContentTypeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	frame := `[0,0,0,9.81,0,0,0,0]`
+	one := `{"rate":100,"samples":[` + frame + `]}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"seven-number frame", `{"traces":[{"rate":100,"samples":[[0,0,0,9.81,0,0,0]]}]}`, http.StatusBadRequest},
+		{"unknown key", `{"traces":[` + one + `],"workers":4}`, http.StatusBadRequest},
+		{"null samples", `{"traces":[{"rate":100,"samples":null}]}`, http.StatusBadRequest},
+		{"trailing data", `{"traces":[` + one + `]}]`, http.StatusBadRequest},
+		{"257 traces", `{"traces":[` + strings.Repeat(one+",", 256) + one + `]}`, http.StatusRequestEntityTooLarge},
+		{"oversized body", `{"traces":[{"rate":100,"samples":[` + strings.Repeat(frame+",", 4096) + frame + `]}]}`,
+			http.StatusRequestEntityTooLarge},
+	} {
+		if status, body := post(tc.body); status != tc.status {
+			t.Errorf("%s: status %d, want %d: %s", tc.name, status, tc.status, body)
+		}
+	}
+	status, body := post(`{"traces":[{"rate":100,"samples":[[0,NaN,0,9.81,0,0,0,0]]}]}`)
+	if status != http.StatusOK || !strings.Contains(string(body), "defective") {
+		t.Errorf("non-finite sample: status %d, body %s; want 200 with a defective-trace item", status, body)
+	}
+}
+
 func nan64() float64 {
 	var zero float64
 	return zero / zero

@@ -23,6 +23,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -785,24 +786,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.setWriteDeadline(w)
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req wire.BatchRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
+	if err != nil {
 		s.samplesDecodeError(w, r, 0, err)
 		return
 	}
-	if len(req.Traces) == 0 {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "no traces in request", 0, -1)
-		return
-	}
-	if len(req.Traces) > maxBatchTraces {
+	traces, err := wire.DecodeBatch(body, maxBatchTraces)
+	if errors.Is(err, wire.ErrTooManyTraces) {
 		s.reject(w, r, http.StatusRequestEntityTooLarge, "body_too_large",
 			fmt.Sprintf("at most %d traces per batch", maxBatchTraces), 0)
 		return
 	}
-	traces := make([]*ptrack.Trace, len(req.Traces))
-	for i := range req.Traces {
-		traces[i] = req.Traces[i].ToTrace()
+	if err != nil {
+		s.samplesDecodeError(w, r, 0, err)
+		return
+	}
+	if len(traces) == 0 {
+		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "no traces in request", 0, -1)
+		return
 	}
 	items, err := s.pool.Process(r.Context(), traces)
 	if err != nil {
@@ -819,6 +820,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// readBody reads a whole request body into one buffer sized from its
+// declared length, capped at limit (the body's MaxBytesReader enforces
+// the cap itself), so a body of known length is read without regrowing.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared >= 0 {
+		buf.Grow(int(min(declared, limit)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -57,6 +57,20 @@ func pushBoth(t *testing.T, name string, cfg Config, tr *trace.Trace) {
 	}
 }
 
+// slowWalk is a 60 s walk at 1.1 steps/s. The classification margin is a
+// fixed fraction of the cycle length, so its ~1.8 s cycles carry margins
+// about 60% wider in samples than the default walker's.
+func slowWalk(t *testing.T) *trace.Trace {
+	t.Helper()
+	p := gaitsim.DefaultProfile()
+	p.StepFrequency = 1.1
+	rec, err := gaitsim.SimulateActivity(p, gaitsim.DefaultConfig(), trace.ActivityWalking, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Trace
+}
+
 // TestIncrementalMatchesReference is the front-end equivalence suite: for
 // every seed activity the incremental tracker must emit exactly the
 // events the whole-buffer reference emits, push for push.
@@ -106,7 +120,7 @@ func TestIncrementalMatchesReferenceVariants(t *testing.T) {
 		{"adaptive", func() Config { c := base; c.AdaptiveDelta = true; return c }(), mixed.Trace},
 		{"no-profile", Config{SampleRate: 100}, walk.Trace},
 		{"small-buffer", func() Config { c := base; c.BufferS = 6; return c }(), mixed.Trace},
-		{"wide-margin", func() Config { c := base; c.MarginFraction = 0.4; return c }(), walk.Trace},
+		{"wide-margin", base, slowWalk(t)},
 		{"invalid-cutoff", func() Config {
 			c := base
 			c.Segment.LowPassCutoffHz = 60 // ≥ Nyquist: smoothing degrades to pass-through

@@ -91,38 +91,9 @@ func (t *refTracker) Flush() []Event {
 
 func (t *refTracker) drainWith(flush bool) []Event {
 	var events []Event
-	segCfg := t.cfg.Segment
-	lp := segCfg.LowPassCutoffHz
+	lp := t.cfg.Segment.LowPassCutoffHz
 	if lp == 0 {
 		lp = 5
-	}
-	prom := segCfg.MinPeakProminence
-	if prom == 0 {
-		prom = 0.8
-	}
-	minDist := segCfg.MinPeakDistanceS
-	if minDist == 0 {
-		minDist = 0.25
-	}
-	minCycle := segCfg.MinCycleS
-	if minCycle == 0 {
-		minCycle = 0.6
-	}
-	maxCycle := segCfg.MaxCycleS
-	if maxCycle == 0 {
-		maxCycle = 2.8
-	}
-	maxRatio := segCfg.MaxPeriodRatio
-	if maxRatio == 0 {
-		maxRatio = 1.8
-	}
-	maxAmpRatio := segCfg.MaxAmplitudeRatio
-	if maxAmpRatio == 0 {
-		maxAmpRatio = 1.8
-	}
-	rule := segment.Config{
-		MinCycleS: minCycle, MaxCycleS: maxCycle,
-		MaxPeriodRatio: maxRatio, MaxAmplitudeRatio: maxAmpRatio,
 	}
 
 	for {
@@ -131,8 +102,8 @@ func (t *refTracker) drainWith(flush bool) []Event {
 		}
 		smooth := dsp.FiltFilt(t.mag, lp, t.cfg.SampleRate)
 		peaks := dsp.FindPeaks(smooth, dsp.PeakOptions{
-			MinProminence: prom,
-			MinDistance:   int(math.Round(minDist * t.cfg.SampleRate)),
+			MinProminence: segment.MinPeakProminence,
+			MinDistance:   int(math.Round(segment.MinPeakDistanceS * t.cfg.SampleRate)),
 		})
 		var cand []int
 		for _, p := range peaks {
@@ -145,12 +116,12 @@ func (t *refTracker) drainWith(flush bool) []Event {
 			return events
 		}
 		p0, p1, p2 := cand[0], cand[1], cand[2]
-		if !segment.PlausibleCycle(smooth, t.base, p0, p1, p2, t.cfg.SampleRate, rule) {
+		if !segment.PlausibleCycle(smooth, t.base, p0, p1, p2, t.cfg.SampleRate) {
 			t.lastPeak = p1
 			continue
 		}
 		cycLen := p2 - p0
-		margin := int(t.cfg.MarginFraction * float64(cycLen))
+		margin := int(gaitid.MarginFraction * float64(cycLen))
 		have := t.base + len(t.mag)
 		if p2+margin >= have {
 			if !flush {

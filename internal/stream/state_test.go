@@ -125,7 +125,7 @@ func TestSnapshotRestoreEquivalenceVariants(t *testing.T) {
 		{"adaptive", func() Config { c := base; c.AdaptiveDelta = true; return c }(), mixed.Trace},
 		{"no-profile", Config{SampleRate: 100}, walk.Trace},
 		{"small-buffer", func() Config { c := base; c.BufferS = 6; return c }(), mixed.Trace},
-		{"wide-margin", func() Config { c := base; c.MarginFraction = 0.4; return c }(), walk.Trace},
+		{"wide-margin", base, slowWalk(t)},
 		{"invalid-cutoff", func() Config {
 			c := base
 			c.Segment.LowPassCutoffHz = 60 // ≥ Nyquist: pass-through smoothing, no biquad state

@@ -53,9 +53,6 @@ type Config struct {
 	Identify   gaitid.Config
 	// Profile enables stride estimation when non-nil.
 	Profile *stride.Config
-	// MarginFraction is the classification context per side, as a fraction
-	// of the cycle length. Default 0.25.
-	MarginFraction float64
 	// AdaptiveDelta enables the adaptive offset threshold, mirroring
 	// core.Config.AdaptiveDelta: δ tracks the widest gap of the recent
 	// offset distribution instead of staying fixed.
@@ -80,9 +77,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MarginFraction == 0 {
-		c.MarginFraction = 0.25
-	}
 	if c.BufferS == 0 {
 		c.BufferS = 12
 	}
@@ -99,9 +93,8 @@ const settleTol = 1e-24
 // Tracker is the online pipeline. Construct with New. Not safe for
 // concurrent use.
 type Tracker struct {
-	cfg    Config
-	segCfg segment.Config // cfg.Segment with defaults resolved
-	dec    gaitid.Decider // per-cycle decision, pending stepping cycles
+	cfg Config
+	dec gaitid.Decider // per-cycle decision, pending stepping cycles
 	// grav primes its gravity estimate on the first sample it projects
 	// and refines it as the stream proceeds (a real device carries its
 	// estimate over).
@@ -136,7 +129,7 @@ type Tracker struct {
 	smooth []float64
 	final  int // local index of the frozen/provisional boundary
 
-	// Segmentation constants derived from segCfg at construction.
+	// Segmentation sample counts derived at construction.
 	scanEvery   int // samples between buffer scans (0.1 s)
 	minDistSamp int // peak refractory distance, samples
 	lookback    int // peak-window context kept before the cursor, samples
@@ -185,10 +178,9 @@ func New(cfg Config) (*Tracker, error) {
 	if !(cfg.SampleRate > 0) || math.IsInf(cfg.SampleRate, 1) {
 		return nil, fmt.Errorf("stream: sample rate must be positive and finite, got %v", cfg.SampleRate)
 	}
-	segCfg := cfg.Segment.WithDefaults()
+	cutoff := cfg.Segment.WithDefaults().LowPassCutoffHz
 	t := &Tracker{
-		cfg:    cfg,
-		segCfg: segCfg,
+		cfg: cfg,
 		dec: gaitid.Decider{
 			ID:         gaitid.NewIdentifier(cfg.Identify, cfg.SampleRate),
 			Hooks:      cfg.Hooks,
@@ -202,10 +194,10 @@ func New(cfg Config) (*Tracker, error) {
 		// and keep a positive peak refractory distance.
 		scanEvery: max(1, int(0.1*cfg.SampleRate)),
 	}
-	t.minDistSamp = max(1, int(math.Round(segCfg.MinPeakDistanceS*cfg.SampleRate)))
-	if fwd, err := dsp.NewLowPassBiquad(segCfg.LowPassCutoffHz, cfg.SampleRate); err == nil {
+	t.minDistSamp = max(1, int(math.Round(segment.MinPeakDistanceS*cfg.SampleRate)))
+	if fwd, err := dsp.NewLowPassBiquad(cutoff, cfg.SampleRate); err == nil {
 		t.fwdBq = fwd
-		t.bwdBq, _ = dsp.NewLowPassBiquad(segCfg.LowPassCutoffHz, cfg.SampleRate)
+		t.bwdBq, _ = dsp.NewLowPassBiquad(cutoff, cfg.SampleRate)
 		t.settle = fwd.SettleLen(settleTol)
 		if t.settle <= 0 {
 			// No useful decay bound: never freeze the tail. The backward
@@ -219,7 +211,7 @@ func New(cfg Config) (*Tracker, error) {
 	// earlier terrain. A full cycle plus several refractory distances
 	// covers both in practice; the equivalence suite pins this against
 	// whole-buffer detection on every seed activity.
-	t.lookback = max(1, int(math.Round(segCfg.MaxCycleS*cfg.SampleRate))+4*t.minDistSamp)
+	t.lookback = max(1, int(math.Round(segment.MaxCycleS*cfg.SampleRate))+4*t.minDistSamp)
 	if cfg.AdaptiveDelta {
 		t.dec.Adaptive = gaitid.NewAdaptiveThreshold(0)
 	}
@@ -529,7 +521,7 @@ func (t *Tracker) drainInto(evs []Event, flush bool) []Event {
 		}
 	}
 	peaks := t.pf.Find(t.smooth[wstart:], dsp.PeakOptions{
-		MinProminence: t.segCfg.MinPeakProminence,
+		MinProminence: segment.MinPeakProminence,
 		MinDistance:   t.minDistSamp,
 	})
 	// Candidate peaks at or after the cursor, as absolute indices.
@@ -545,7 +537,7 @@ func (t *Tracker) drainInto(evs []Event, flush bool) []Event {
 	ci := 0
 	for ci+3 <= len(t.cand) {
 		p0, p1, p2 := t.cand[ci], t.cand[ci+1], t.cand[ci+2]
-		if !segment.PlausibleCycle(t.smooth, t.base, p0, p1, p2, t.cfg.SampleRate, t.segCfg) {
+		if !segment.PlausibleCycle(t.smooth, t.base, p0, p1, p2, t.cfg.SampleRate) {
 			// Not a plausible cycle: advance one peak, as the batch
 			// segmenter does (the next triple starts at p1).
 			t.lastPeak = p1
@@ -553,7 +545,7 @@ func (t *Tracker) drainInto(evs []Event, flush bool) []Event {
 			continue
 		}
 		cycLen := p2 - p0
-		margin := int(t.cfg.MarginFraction * float64(cycLen))
+		margin := int(gaitid.MarginFraction * float64(cycLen))
 		// Decide only when the trailing margin is buffered (or flushing).
 		have := t.base + len(t.mag)
 		if p2+margin >= have {

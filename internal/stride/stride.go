@@ -20,27 +20,17 @@ type Config struct {
 	ArmLength float64 // m of Eqs. (3)-(5), metres
 	LegLength float64 // l of Eq. (2), metres
 	K         float64 // Eq. (2) calibration factor, trained per user
-	// SmoothCutoffHz low-passes (zero-phase) the projected series before
-	// key-moment location. Default 4.5 Hz.
-	SmoothCutoffHz float64
-	// MinStepFraction/MaxStepFraction bound a step's duration as a
-	// fraction of the candidate cycle. Defaults 0.3 and 0.7.
-	MinStepFraction float64
-	MaxStepFraction float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.SmoothCutoffHz == 0 {
-		c.SmoothCutoffHz = 4.5
-	}
-	if c.MinStepFraction == 0 {
-		c.MinStepFraction = 0.3
-	}
-	if c.MaxStepFraction == 0 {
-		c.MaxStepFraction = 0.7
-	}
-	return c
-}
+const (
+	// smoothCutoffHz low-passes (zero-phase) the projected series before
+	// key-moment location.
+	smoothCutoffHz = 4.5
+	// minStepFraction and maxStepFraction bound a step's duration as a
+	// fraction of the candidate cycle.
+	minStepFraction = 0.3
+	maxStepFraction = 0.7
+)
 
 // Validate reports whether the profile fields are usable. A usable
 // field is positive AND finite — `<= 0` alone would wave NaN through
@@ -82,15 +72,11 @@ type Estimator struct {
 // New returns an Estimator. It returns an error when the profile is
 // invalid.
 func New(cfg Config) (*Estimator, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Estimator{cfg: cfg}, nil
 }
-
-// Config returns the (defaulted) configuration in use.
-func (e *Estimator) Config() Config { return e.cfg }
 
 // StrideFromBounce applies Eq. (2): s = k·sqrt(l² − (l−b)²). Bounces
 // outside the model's domain are clamped to it.
@@ -178,8 +164,8 @@ func (e *Estimator) EstimateWalking(vertical, anterior []float64, margin int, sa
 		margin = 0
 	}
 	dt := 1 / sampleRate
-	v := dsp.FiltFilt(vertical, e.cfg.SmoothCutoffHz, sampleRate)
-	a := dsp.FiltFilt(anterior, e.cfg.SmoothCutoffHz, sampleRate)
+	v := dsp.FiltFilt(vertical, smoothCutoffHz, sampleRate)
+	a := dsp.FiltFilt(anterior, smoothCutoffHz, sampleRate)
 
 	// Swing extremes (i)/(iii): zeros of the hand's anterior velocity.
 	// Integrate the anterior acceleration over the whole window and
@@ -190,8 +176,8 @@ func (e *Estimator) EstimateWalking(vertical, anterior []float64, margin int, sa
 	zeros := dsp.ZeroCrossings(vel)
 
 	coreLen := n - 2*margin
-	minStep := int(e.cfg.MinStepFraction * float64(coreLen))
-	maxStep := int(e.cfg.MaxStepFraction * float64(coreLen))
+	minStep := int(minStepFraction * float64(coreLen))
+	maxStep := int(maxStepFraction * float64(coreLen))
 
 	var steps []Step
 	for zi := 0; zi+1 < len(zeros); zi++ {
@@ -265,7 +251,7 @@ func (e *Estimator) EstimateStepping(vertical []float64, margin int, sampleRate 
 		margin = 0
 	}
 	dt := 1 / sampleRate
-	v := dsp.FiltFilt(vertical, e.cfg.SmoothCutoffHz, sampleRate)
+	v := dsp.FiltFilt(vertical, smoothCutoffHz, sampleRate)
 	core := v[margin : n-margin]
 	half := len(core) / 2
 

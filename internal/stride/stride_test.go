@@ -116,12 +116,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEstimatorConfigDefaults(t *testing.T) {
-	e, err := New(Config{ArmLength: 0.6, LegLength: 0.9, K: 2.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Config().SmoothCutoffHz != 4.5 {
-		t.Errorf("cutoff = %v", e.Config().SmoothCutoffHz)
+	if smoothCutoffHz != 4.5 || minStepFraction != 0.3 || maxStepFraction != 0.7 {
+		t.Errorf("constants = %v, %v, %v", smoothCutoffHz, minStepFraction, maxStepFraction)
 	}
 }
 

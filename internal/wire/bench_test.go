@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"testing"
 
@@ -81,4 +82,36 @@ func BenchmarkEncodeNDJSON(b *testing.B) {
 	samples := len(tr.Samples)
 	b.ReportMetric(float64(samples), "samples/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+// BenchmarkDecodeBatch decodes a /v1/batch body of two 8 s traces (the
+// shape of the repository benchmark's batch workload) by hand and, for
+// comparison, with encoding/json plus ToTrace.
+func BenchmarkDecodeBatch(b *testing.B) {
+	tr := benchTrace(b)
+	part := &trace.Trace{SampleRate: tr.SampleRate, Samples: tr.Samples[:800]}
+	body, err := json.Marshal(BatchRequest{Traces: []BatchTrace{FromTrace(part), FromTrace(part)}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("wire", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeBatch(body, 256); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding-json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			var req BatchRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			for j := range req.Traces {
+				req.Traces[j].ToTrace()
+			}
+		}
+	})
 }

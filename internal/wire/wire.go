@@ -37,7 +37,6 @@ import (
 	"ptrack/internal/gaitid"
 	"ptrack/internal/stream"
 	"ptrack/internal/trace"
-	"ptrack/internal/vecmath"
 )
 
 // Content types of the serving API. The sample decoders pick a format
@@ -272,12 +271,7 @@ func decodeFrame(b []byte) trace.Sample {
 	for i := range f {
 		f[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return trace.Sample{
-		T:     f[0],
-		Accel: vecmath.Vec3{X: f[1], Y: f[2], Z: f[3]},
-		Gyro:  vecmath.Vec3{X: f[4], Y: f[5], Z: f[6]},
-		Yaw:   f[7],
-	}
+	return frameSample(f)
 }
 
 func (d *Decoder) nextLine() (trace.Sample, error) {
@@ -406,11 +400,7 @@ func parseSampleLine(b []byte) (trace.Sample, error) {
 // non-finite values are admissible, not the scanner.
 func scanNumber(b []byte) (num, rest []byte, err error) {
 	i := 0
-	for i < len(b) {
-		c := b[i]
-		if c == ',' || c == '}' || c == ' ' || c == '\t' || c == '\r' {
-			break
-		}
+	for i < len(b) && !numberEnd[b[i]] {
 		i++
 	}
 	if i == 0 {
@@ -418,6 +408,10 @@ func scanNumber(b []byte) (num, rest []byte, err error) {
 	}
 	return b[:i], b[i:], nil
 }
+
+// numberEnd marks the bytes that end a number token: separators,
+// closing brackets and whitespace.
+var numberEnd = [256]bool{',': true, '}': true, ']': true, ' ': true, '\t': true, '\r': true, '\n': true}
 
 // parseFloat parses b with strconv.ParseFloat semantics without
 // allocating. The unsafe.String view is sound here: ParseFloat only

@@ -25,8 +25,6 @@ type Profile struct {
 type options struct {
 	profile         *Profile
 	offsetThreshold float64
-	confirmCount    int
-	marginFraction  float64
 	adaptiveDelta   bool
 	conditioning    bool
 	observer        *Observer
@@ -59,18 +57,6 @@ func WithTrainedProfile(p Profile) Option {
 // (default 0.0325, the paper's empirical setting).
 func WithOffsetThreshold(delta float64) Option {
 	return func(o *options) { o.offsetThreshold = delta }
-}
-
-// WithConfirmCount overrides how many consecutive qualifying cycles
-// confirm stepping (default 3, Fig. 4).
-func WithConfirmCount(n int) Option {
-	return func(o *options) { o.confirmCount = n }
-}
-
-// WithMarginFraction overrides the classification context margin as a
-// fraction of the cycle length (default 0.25).
-func WithMarginFraction(f float64) Option {
-	return func(o *options) { o.marginFraction = f }
 }
 
 // WithSessionQueueSize bounds each hub session's pending-sample queue
@@ -185,20 +171,12 @@ func (o *options) strideConfig() stride.Config {
 	}
 }
 
-func (o *options) identifyConfig() gaitid.Config {
-	return gaitid.Config{
-		OffsetThreshold: o.offsetThreshold,
-		ConfirmCount:    o.confirmCount,
-	}
-}
-
 // coreConfig materialises the batch-pipeline configuration.
 func (o *options) coreConfig() core.Config {
 	cfg := core.Config{
-		Identify:       o.identifyConfig(),
-		MarginFraction: o.marginFraction,
-		AdaptiveDelta:  o.adaptiveDelta,
-		Hooks:          o.observer,
+		Identify:      gaitid.Config{OffsetThreshold: o.offsetThreshold},
+		AdaptiveDelta: o.adaptiveDelta,
+		Hooks:         o.observer,
 	}
 	if o.profile != nil {
 		sc := o.strideConfig()
@@ -210,11 +188,10 @@ func (o *options) coreConfig() core.Config {
 // streamConfig materialises the streaming-pipeline configuration.
 func (o *options) streamConfig(sampleRate float64) stream.Config {
 	cfg := stream.Config{
-		SampleRate:     sampleRate,
-		Identify:       o.identifyConfig(),
-		MarginFraction: o.marginFraction,
-		AdaptiveDelta:  o.adaptiveDelta,
-		Hooks:          o.observer,
+		SampleRate:    sampleRate,
+		Identify:      gaitid.Config{OffsetThreshold: o.offsetThreshold},
+		AdaptiveDelta: o.adaptiveDelta,
+		Hooks:         o.observer,
 	}
 	if o.profile != nil {
 		sc := o.strideConfig()

@@ -240,7 +240,7 @@ func ConditionTrace(tr *Trace) ([]*Trace, *ConditionReport, error) {
 // and calibrates the Eq. (2) factor k — the paper's initialization phase;
 // pass 0 to keep a population prior for k.
 func TrainProfile(tr *Trace, knownDistance float64) (Profile, error) {
-	cfg, _, err := selftrain.Train(tr, knownDistance, selftrain.Options{})
+	cfg, _, err := selftrain.Train(tr, knownDistance)
 	if err != nil {
 		return Profile{}, fmt.Errorf("ptrack: %w", err)
 	}
@@ -252,7 +252,7 @@ func TrainProfile(tr *Trace, knownDistance float64) (Profile, error) {
 func CalibrateK(tr *Trace, p Profile, knownDistance float64) (float64, error) {
 	k, err := selftrain.CalibrateK(tr, stride.Config{
 		ArmLength: p.ArmLength, LegLength: p.LegLength, K: p.K,
-	}, knownDistance, selftrain.Options{})
+	}, knownDistance)
 	if err != nil {
 		return 0, fmt.Errorf("ptrack: %w", err)
 	}

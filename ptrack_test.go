@@ -122,14 +122,14 @@ func TestCalibrateK(t *testing.T) {
 }
 
 func TestOptionsApplied(t *testing.T) {
-	// A huge δ turns everything into non-walking; with confirm count 1,
-	// stepping confirms instantly. Exercise both knobs.
+	// A huge δ turns everything into non-walking; stepping still confirms
+	// at the default confirmation count.
 	rec, err := Simulate(DefaultSimProfile(), DefaultSimConfig(),
 		[]SimSegment{{Activity: ActivityStepping, Duration: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := New(WithOffsetThreshold(10), WithConfirmCount(1), WithMarginFraction(0.2))
+	strict, err := New(WithOffsetThreshold(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestOptionsApplied(t *testing.T) {
 		t.Errorf("delta=10 still labeled %d cycles walking", counts[LabelWalking])
 	}
 	if res.Steps == 0 {
-		t.Error("stepping with confirm=1 counted nothing")
+		t.Error("stepping at delta=10 counted nothing")
 	}
 }
 
