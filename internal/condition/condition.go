@@ -14,8 +14,10 @@
 //     spacing, detecting clock drift against the declared rate and
 //     recovering traces with no rate metadata at all;
 //   - off-grid timestamps are resampled onto the nominal uniform grid
-//     by linear interpolation, short gaps (<= 2 s) are bridged, and
-//     long gaps split the trace into independent segments;
+//     by linear interpolation (of two raw samples near one grid point
+//     the nearer one is kept), short gaps (<= 2 s) are bridged while
+//     the output stays within maxAmplify samples per raw one, and
+//     other gaps split the trace into independent segments;
 //   - clipped/saturated runs are flagged (not repaired) so downstream
 //     consumers can discount the affected intervals.
 //
@@ -26,7 +28,9 @@
 //
 // The streaming variant (Streamer, see stream.go) provides the same
 // guarantees online with bounded latency and O(1) amortised work per
-// sample.
+// sample. Both commit to the output grid through one path (grid), so
+// a trace whose reordering fits the reorder window conditions the same
+// either way.
 package condition
 
 import (
@@ -73,6 +77,7 @@ const (
 	driftTol   = 0.02  // declared-vs-estimated rate disagreement beyond which the declaration is distrusted
 	clipLimit  = 39.24 // saturation threshold per acceleration component, m/s^2 (±4 g)
 	clipRunMin = 3     // consecutive clipped samples that count as a saturated run
+	maxAmplify = 2     // samples a bridge may emit per raw sample committed, beyond one maxGapS hole's worth
 )
 
 // Gap is one detected hole in the input timeline.
@@ -154,7 +159,12 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 		rep.EffectiveRate = declared
 		rep.NominalRate = declared
 		rep.Output = len(tr.Samples)
-		countClipping(tr.Samples, rep)
+		g := newGrid(declared, h)
+		for i := range tr.Samples {
+			g.clip(&tr.Samples[i]) // flag saturated runs, as the commit path does
+		}
+		g.endClipRun()
+		rep.ClippedSamples, rep.ClippedRuns = g.rep.ClippedSamples, g.rep.ClippedRuns
 		reportDefects(h, rep)
 		return []*trace.Trace{tr}, rep, nil
 	}
@@ -220,38 +230,42 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 	}
 	rep.NominalRate = nominal
 
-	// Stage "resample": split at long gaps, then project each segment
-	// onto the uniform nominal grid, bridging short holes.
+	// Stage "resample": fold the ordered samples through the Streamer's
+	// commit path, each with the next one as its lookahead, and cut a
+	// segment wherever it splits.
 	t0 = time.Now()
-	dt := 1 / nominal
+	g := newGrid(nominal, h)
+	g.rep = *rep
+	// One backing array serves every segment, sized for the grid span
+	// or the amplification bound, whichever is smaller.
+	span := (samples[len(samples)-1].T - samples[0].T) * nominal
+	buf := make([]trace.Sample, 0, int(math.Min(span+2, maxAmplify*float64(len(samples))+maxGapS*nominal)))
 	var segments []*trace.Trace
-	segStart := 0
-	for i := 1; i <= len(samples); i++ {
-		if i < len(samples) {
-			gap := samples[i].T - samples[i-1].T
-			if gap <= maxGapS {
-				continue
-			}
-			rep.GapsSplit++
-			rep.Gaps = append(rep.Gaps, Gap{Start: samples[i-1].T, Duration: gap})
-			if h != nil {
-				h.ConditionGap(gap)
-			}
-		}
-		seg := resampleSegment(samples[segStart:i], nominal, dt, rep, h)
+	segStart, rawStart := 0, 0
+	cut := func(rawEnd int) {
+		seg := buf[segStart:len(buf):len(buf)]
 		if len(seg) < 2 {
-			rep.Rejected += i - segStart
+			g.rep.Rejected += rawEnd - rawStart
+			g.rep.Output -= len(seg)
+			buf = buf[:segStart]
 		} else {
-			segments = append(segments, &trace.Trace{
-				SampleRate: nominal,
-				Samples:    seg,
-				Label:      tr.Label,
-			})
-			rep.Output += len(seg)
-			countClipping(seg, rep)
+			segments = append(segments, &trace.Trace{SampleRate: nominal, Samples: seg, Label: tr.Label})
 		}
-		segStart = i
+		segStart, rawStart = len(buf), rawEnd
 	}
+	for i := range samples {
+		g.out = g.out[:0]
+		g.commit(samples[i:])
+		for j := range g.out {
+			if g.out[j].Split {
+				cut(i)
+			}
+			buf = append(buf, g.out[j].Sample)
+		}
+	}
+	g.endClipRun()
+	cut(len(samples))
+	*rep = g.rep
 	stageDone(h, "resample", t0)
 	reportDefects(h, rep)
 	if len(segments) == 0 {
@@ -284,81 +298,7 @@ func inspect(samples []trace.Sample, declared float64) bool {
 	return true
 }
 
-// resampleSegment projects one gap-free-enough run of raw samples onto
-// the uniform grid anchored at its first timestamp. Raw samples within
-// jitterTol of their grid point are emitted verbatim (timestamp snapped);
-// everything else is linearly interpolated. Holes above 1.5 sample
-// periods are counted as bridged gaps.
-func resampleSegment(raw []trace.Sample, rate, dt float64, rep *Report, h Hooks) []trace.Sample {
-	if len(raw) < 2 {
-		return nil
-	}
-	t0 := raw[0].T
-	span := raw[len(raw)-1].T - t0
-	n := int(math.Round(span*rate)) + 1
-	tol := jitterTol * dt
-	out := make([]trace.Sample, 0, n)
-	j := 0
-	for i := 0; i < n; i++ {
-		t := t0 + float64(i)*dt
-		for j+1 < len(raw) && raw[j+1].T <= t+tol {
-			gap := raw[j+1].T - raw[j].T
-			if gap > 1.5*dt {
-				rep.GapsBridged++
-				rep.Gaps = append(rep.Gaps, Gap{Start: raw[j].T, Duration: gap, Bridged: true})
-				if h != nil {
-					h.ConditionGap(gap)
-				}
-			}
-			j++
-		}
-		var s trace.Sample
-		switch {
-		case math.Abs(raw[j].T-t) <= tol:
-			s = raw[j]
-		case j+1 < len(raw) && math.Abs(raw[j+1].T-t) <= tol:
-			s = raw[j+1]
-		case j+1 < len(raw):
-			f := (t - raw[j].T) / (raw[j+1].T - raw[j].T)
-			s = lerpSample(raw[j], raw[j+1], f)
-			rep.Interpolated++
-			rep.Resampled = true
-		default:
-			// Past the last raw sample (rounding): hold the last value.
-			s = raw[j]
-			rep.Interpolated++
-			rep.Resampled = true
-		}
-		s.T = t
-		out = append(out, s)
-	}
-	if len(out) != len(raw) {
-		rep.Resampled = true
-	}
-	return out
-}
-
-// countClipping flags saturated runs in a finished sample run.
-func countClipping(samples []trace.Sample, rep *Report) {
-	run := 0
-	flush := func() {
-		if run >= clipRunMin {
-			rep.ClippedSamples += run
-			rep.ClippedRuns++
-		}
-		run = 0
-	}
-	for _, s := range samples {
-		if clipped(s) {
-			run++
-		} else {
-			flush()
-		}
-	}
-	flush()
-}
-
-func clipped(s trace.Sample) bool {
+func clipped(s *trace.Sample) bool {
 	return math.Abs(s.Accel.X) >= clipLimit ||
 		math.Abs(s.Accel.Y) >= clipLimit ||
 		math.Abs(s.Accel.Z) >= clipLimit
@@ -371,7 +311,7 @@ func finiteSample(s trace.Sample) bool {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-func lerpSample(a, b trace.Sample, f float64) trace.Sample {
+func lerpSample(a, b *trace.Sample, f float64) trace.Sample {
 	return trace.Sample{
 		T:     a.T + f*(b.T-a.T),
 		Accel: a.Accel.Lerp(b.Accel, f),
@@ -410,9 +350,9 @@ func stageDone(h Hooks, stage string, t0 time.Time) {
 	}
 }
 
-// reportDefects pushes the report's defect counts into the hooks in one
-// batch (the batch conditioner accumulates locally and flushes here;
-// the streamer reports incrementally instead).
+// reportDefects pushes the order and rate stages' defect counts into
+// the hooks in one batch; the shared commit path reports gaps and
+// clipped runs as it finds them.
 func reportDefects(h Hooks, rep *Report) {
 	if h == nil {
 		return
@@ -420,9 +360,6 @@ func reportDefects(h Hooks, rep *Report) {
 	h.ConditionDefect("out_of_order", rep.OutOfOrder)
 	h.ConditionDefect("duplicate", rep.Duplicates)
 	h.ConditionDefect("non_finite", rep.NonFinite)
-	h.ConditionDefect("gap_bridged", rep.GapsBridged)
-	h.ConditionDefect("gap_split", rep.GapsSplit)
-	h.ConditionDefect("clipped_run", rep.ClippedRuns)
 	h.ConditionDefect("rejected", rep.Rejected)
 	if rep.MissingRate {
 		h.ConditionDefect("missing_rate", 1)

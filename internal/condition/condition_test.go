@@ -3,6 +3,7 @@ package condition
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ptrack/internal/gaitsim"
@@ -246,4 +247,96 @@ func TestEmptyAndUnusable(t *testing.T) {
 	if _, _, err := Condition(bad, Config{}); err != ErrUnusable {
 		t.Fatalf("all-NaN trace: got %v, want ErrUnusable", err)
 	}
+}
+
+// TestAmplificationBounded: a trace declared at 100 Hz that repeats
+// three samples 10 ms apart and then a 1.99 s hole passes the rate
+// check (the median spacing is 10 ms), and bridging every hole would
+// emit ~67 samples per raw one. Both conditioners bridge only while the
+// output stays within maxAmplify per raw sample committed plus one
+// maxGapS hole's worth, and split the rest.
+func TestAmplificationBounded(t *testing.T) {
+	const (
+		n    = 93000
+		rate = 100
+		want = 186060 // pinned output count of the bounded rule
+	)
+	in := make([]trace.Sample, 0, n)
+	for g := 0; len(in) < n; g++ {
+		for k := 0; k < 3; k++ {
+			in = append(in, trace.Sample{T: float64(g)*2.01 + float64(k)*0.01})
+		}
+	}
+	if limit := maxAmplify*n + maxGapS*rate; want > limit {
+		t.Fatalf("pinned output %d exceeds the bound %d", want, limit)
+	}
+
+	var segs []*trace.Trace
+	var rep *Report
+	batchBytes := allocatedBytes(func() {
+		var err error
+		segs, rep, err = Condition(&trace.Trace{SampleRate: rate, Samples: in}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	total := 0
+	for _, seg := range segs {
+		total += len(seg.Samples)
+	}
+	if total != want || rep.Output != want || rep.GapsSplit == 0 {
+		t.Fatalf("batch: %d samples out (report %d, %d splits), want %d", total, rep.Output, rep.GapsSplit, want)
+	}
+	// The ordered copy, at most maxAmplify output samples per input one
+	// and the report's gap map fit in 384 B per input sample.
+	if perSample := batchBytes / n; perSample > 384 {
+		t.Fatalf("batch allocated %d B per input sample, want <= 384", perSample)
+	}
+
+	s, err := NewStreamer(StreamConfig{Config: Config{NominalRate: rate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := 0
+	streamBytes := allocatedBytes(func() {
+		for _, raw := range in {
+			out += len(s.Push(raw))
+		}
+		out += len(s.Flush())
+	})
+	if out != want || s.Report().GapsSplit != rep.GapsSplit {
+		t.Fatalf("stream: %d samples out, %d splits; want %d, %d", out, s.Report().GapsSplit, want, rep.GapsSplit)
+	}
+	if perSample := streamBytes / n; perSample > 64 {
+		t.Fatalf("stream allocated %d B per input sample, want <= 64", perSample)
+	}
+}
+
+// allocatedBytes reports the heap bytes allocated while f runs.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// BenchmarkCondition measures the batch conditioner on a 120 s, 100 Hz
+// walk at fault severity 1 — the full order, rate and resample path.
+// `make bench-condition` prints it, informational only.
+func BenchmarkCondition(b *testing.B) {
+	tr := gaitsim.InjectFaults(cleanTrace(b, 120), gaitsim.FaultsAtSeverity(1, 1))
+	b.ResetTimer()
+	bytes := allocatedBytes(func() {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Condition(tr, Config{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	total := float64(b.N) * float64(len(tr.Samples))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/sample")
+	b.ReportMetric(float64(bytes)/total, "B/sample")
+	b.ReportMetric(float64(len(tr.Samples)), "samples/op")
 }

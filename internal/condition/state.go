@@ -21,7 +21,7 @@ const snapVersion = 1
 // engine's introspection copies, which also drop it).
 func (s *Streamer) Snapshot(dst []byte) []byte {
 	e := statecodec.NewEnc(dst, snapVersion)
-	e.F64(s.cfg.NominalRate)
+	e.F64(s.rate)
 
 	e.Uint(uint64(len(s.pend)))
 	for _, p := range s.pend {
@@ -58,13 +58,13 @@ func (s *Streamer) Restore(blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("condition: restore: %w", err)
 	}
-	if rate := d.F64(); rate != s.cfg.NominalRate {
-		return fmt.Errorf("condition: restore: snapshot is for %v Hz, streamer runs at %v Hz", rate, s.cfg.NominalRate)
+	if rate := d.F64(); rate != s.rate {
+		return fmt.Errorf("condition: restore: snapshot is for %v Hz, streamer runs at %v Hz", rate, s.rate)
 	}
 
 	n := d.Uint()
-	if n > uint64(s.cfg.ReorderWindow)+1 {
-		return fmt.Errorf("condition: restore: reorder window holds %d samples, configured bound is %d", n, s.cfg.ReorderWindow)
+	if n > uint64(s.window)+1 {
+		return fmt.Errorf("condition: restore: reorder window holds %d samples, bound is %d", n, s.window)
 	}
 	pend := make([]trace.Sample, n)
 	for i := range pend {
@@ -99,6 +99,9 @@ func (s *Streamer) Restore(blob []byte) error {
 	s.gridT0 = gridT0
 	s.gridN = gridN
 	s.clipRun = clipRun
+	// The committed count is not in the layout; every sample that
+	// entered the reorder window and has left it was committed.
+	s.committed = rep.Input - rep.NonFinite - rep.Duplicates - rep.Rejected - len(pend)
 	s.rep = rep
 	return nil
 }

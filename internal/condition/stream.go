@@ -7,32 +7,170 @@ import (
 	"ptrack/internal/trace"
 )
 
-// StreamConfig tunes the online conditioner.
+// StreamConfig tunes the online conditioner. The reorder window is not
+// a setting: it is derived from the nominal rate (see reorderWindow).
 type StreamConfig struct {
 	Config
-	// ReorderWindow is how many raw samples are buffered (time-sorted)
-	// before the oldest is committed to the output grid — the bound on
-	// both tolerated reordering and added latency. Default
-	// max(8, NominalRate/8) samples (~125 ms at 100 Hz).
-	ReorderWindow int
 }
 
-func (c StreamConfig) withDefaults() StreamConfig {
-	if c.ReorderWindow == 0 {
-		c.ReorderWindow = int(c.NominalRate / 8)
-		if c.ReorderWindow < 8 {
-			c.ReorderWindow = 8
-		}
-	}
-	return c
+// reorderWindow is how many raw samples the Streamer buffers
+// (time-sorted) before the oldest is committed to the output grid — the
+// bound on both tolerated reordering and added latency: max(8, rate/8)
+// samples, ~125 ms at 100 Hz.
+func reorderWindow(rate float64) int {
+	return max(8, int(rate/8))
 }
 
-// Out is one conditioned sample. Split marks that a long gap separates
-// it from the previously emitted sample: downstream per-segment state
-// (gait streaks, pending cycles) should reset before consuming it.
+// Out is one conditioned sample. Split marks that an unbridged gap
+// separates it from the previously emitted sample: downstream
+// per-segment state (gait streaks, pending cycles) should reset before
+// consuming it.
 type Out struct {
 	Sample trace.Sample
 	Split  bool
+}
+
+// grid is the commit path both conditioners share: it folds final,
+// time-ordered, deduplicated raw samples onto the uniform output grid.
+// Condition feeds it the sorted trace; the Streamer feeds it the oldest
+// sample of its reorder window.
+type grid struct {
+	rate, dt, tol float64
+	hooks         Hooks
+	rep           Report
+
+	havePrev  bool
+	prev      trace.Sample // last committed raw sample
+	gridT0    float64      // grid anchor (segment start)
+	gridN     int          // next grid index to emit
+	committed int          // raw samples committed so far
+	clipRun   int
+
+	out []Out // committed output, appended by emit
+}
+
+func newGrid(rate float64, h Hooks) grid {
+	dt := 1 / rate
+	return grid{rate: rate, dt: dt, tol: jitterTol * dt, hooks: h}
+}
+
+// commit folds ahead[0], a raw sample now final (nothing earlier can
+// arrive), into the output grid. ahead[1], if present, is the sample
+// that will be committed next: when both fall within jitterTol of one
+// grid point, the nearer one takes it, the earlier one on a tie.
+// Nothing is synthesised past the last committed sample.
+func (g *grid) commit(ahead []trace.Sample) {
+	c := &ahead[0]
+	nextT := math.Inf(1)
+	if len(ahead) > 1 {
+		nextT = ahead[1].T
+	}
+	g.committed++
+	if !g.havePrev {
+		g.havePrev = true
+		g.start(c, false)
+		return
+	}
+	gap := c.T - g.prev.T
+	if gap > 1.5*g.dt {
+		if gap > maxGapS || !g.canBridge(c.T) {
+			g.hole(gap, false)
+			g.start(c, true)
+			return
+		}
+		g.hole(gap, true)
+	}
+	used := false
+	for {
+		t := g.gridT0 + float64(g.gridN)*g.dt
+		if t > c.T+g.tol {
+			break
+		}
+		if d := math.Abs(c.T - t); d <= g.tol {
+			if math.Abs(nextT-t) < d {
+				break // the next sample is nearer and takes this point
+			}
+			g.emit(c, t, false)
+			used = true
+		} else {
+			in := lerpSample(&g.prev, c, (t-g.prev.T)/(c.T-g.prev.T))
+			g.emit(&in, t, false)
+			g.rep.Interpolated++
+			g.rep.Resampled = true
+		}
+		g.gridN++
+	}
+	if !used {
+		g.rep.Resampled = true
+	}
+	g.prev = *c
+}
+
+// canBridge reports whether filling the hole up to a sample at time t
+// keeps the output within the amplification bound: samples emitted plus
+// the fill at most maxAmplify per raw sample committed, plus one
+// maxGapS hole's worth.
+func (g *grid) canBridge(t float64) bool {
+	fill := math.Floor((t+g.tol-g.gridT0)*g.rate) - float64(g.gridN) + 1
+	return float64(g.rep.Output)+fill <= maxAmplify*float64(g.committed)+maxGapS*g.rate
+}
+
+// start anchors a new segment's grid at c and emits it.
+func (g *grid) start(c *trace.Sample, split bool) {
+	if split {
+		g.endClipRun()
+	}
+	g.prev = *c
+	g.gridT0 = c.T
+	g.gridN = 1
+	g.emit(c, c.T, split)
+}
+
+// hole records one gap above 1.5 sample periods, bridged or split.
+func (g *grid) hole(gap float64, bridged bool) {
+	if bridged {
+		g.rep.GapsBridged++
+		g.defect("gap_bridged")
+	} else {
+		g.rep.GapsSplit++
+		g.defect("gap_split")
+	}
+	g.rep.Gaps = append(g.rep.Gaps, Gap{Start: g.prev.T, Duration: gap, Bridged: bridged})
+	if g.hooks != nil {
+		g.hooks.ConditionGap(gap)
+	}
+}
+
+// emit appends s, stamped at grid time t, to the output.
+func (g *grid) emit(s *trace.Sample, t float64, split bool) {
+	g.clip(s)
+	g.rep.Output++
+	g.out = append(g.out, Out{Sample: *s, Split: split})
+	g.out[len(g.out)-1].Sample.T = t
+}
+
+// clip extends or ends the running saturated run with one output sample.
+func (g *grid) clip(s *trace.Sample) {
+	if clipped(s) {
+		g.clipRun++
+	} else if g.clipRun > 0 {
+		g.endClipRun()
+	}
+}
+
+func (g *grid) endClipRun() {
+	if g.clipRun >= clipRunMin {
+		g.rep.ClippedSamples += g.clipRun
+		g.rep.ClippedRuns++
+		g.defect("clipped_run")
+	}
+	g.clipRun = 0
+}
+
+func (g *grid) defect(kind string) {
+	if g.hooks != nil {
+		g.hooks.ConditionDefect(kind, 1)
+	}
 }
 
 // Streamer is the online conditioner: push raw samples one at a time
@@ -40,40 +178,28 @@ type Out struct {
 // reorder window) and O(1) amortised work per sample. Unlike the batch
 // conditioner it cannot estimate the input rate — the nominal rate is
 // the session's declared contract — but it applies the same ordering,
-// deduplication, non-finite rejection, grid resampling and gap
-// bridging/splitting. A clean on-grid input stream passes through
+// deduplication and non-finite rejection, and commits through the same
+// grid path as Condition. A clean on-grid input stream passes through
 // bit-identically. Not safe for concurrent use.
 type Streamer struct {
-	cfg StreamConfig
-	dt  float64
-	tol float64
-	rep Report
-
-	pend     []trace.Sample // reorder buffer, ascending by T
-	havePrev bool
-	prev     trace.Sample // last committed raw sample
-	gridT0   float64      // grid anchor (segment start)
-	gridN    int          // next grid index to emit
-
-	out     []Out // reused across pushes
-	clipRun int
+	grid
+	window int
+	pend   []trace.Sample // reorder buffer, ascending by T
 }
 
 // NewStreamer builds an online conditioner emitting at cfg.NominalRate.
 func NewStreamer(cfg StreamConfig) (*Streamer, error) {
-	cfg = cfg.withDefaults()
 	if !(cfg.NominalRate > 0) || math.IsInf(cfg.NominalRate, 1) {
 		return nil, fmt.Errorf("condition: nominal rate must be positive and finite, got %v", cfg.NominalRate)
 	}
-	dt := 1 / cfg.NominalRate
-	return &Streamer{cfg: cfg, dt: dt, tol: jitterTol * dt}, nil
+	return &Streamer{grid: newGrid(cfg.NominalRate, cfg.Hooks), window: reorderWindow(cfg.NominalRate)}, nil
 }
 
 // Report returns the running defect report. The pointee is live — it
 // keeps updating with further pushes.
 func (s *Streamer) Report() *Report {
-	s.rep.NominalRate = s.cfg.NominalRate
-	s.rep.EffectiveRate = s.cfg.NominalRate
+	s.rep.NominalRate = s.rate
+	s.rep.EffectiveRate = s.rate
 	s.rep.Clean = s.rep.Defects() == 0 && !s.rep.Resampled
 	return &s.rep
 }
@@ -144,8 +270,8 @@ func (s *Streamer) ingest(raw trace.Sample) bool {
 	s.pend = append(s.pend, trace.Sample{})
 	copy(s.pend[i+1:], s.pend[i:])
 	s.pend[i] = raw
-	for len(s.pend) > s.cfg.ReorderWindow {
-		s.commit(s.pend[0])
+	for len(s.pend) > s.window {
+		s.commit(s.pend)
 		s.pend = s.pend[:copy(s.pend, s.pend[1:])]
 	}
 	return true
@@ -155,88 +281,9 @@ func (s *Streamer) ingest(raw trace.Sample) bool {
 // streamer stays usable (a subsequent Push starts from the same grid).
 func (s *Streamer) Flush() []Out {
 	s.out = s.out[:0]
-	for _, c := range s.pend {
-		s.commit(c)
+	for i := range s.pend {
+		s.commit(s.pend[i:])
 	}
 	s.pend = s.pend[:0]
 	return s.out
-}
-
-// commit folds one raw sample (now final: nothing earlier can arrive)
-// into the output grid.
-func (s *Streamer) commit(c trace.Sample) {
-	if !s.havePrev {
-		s.havePrev = true
-		s.prev = c
-		s.gridT0 = c.T
-		s.gridN = 1
-		s.emit(c, false)
-		return
-	}
-	gap := c.T - s.prev.T
-	if gap > maxGapS {
-		s.rep.GapsSplit++
-		s.rep.Gaps = append(s.rep.Gaps, Gap{Start: s.prev.T, Duration: gap})
-		s.defect("gap_split")
-		if s.cfg.Hooks != nil {
-			s.cfg.Hooks.ConditionGap(gap)
-		}
-		s.prev = c
-		s.gridT0 = c.T
-		s.gridN = 1
-		s.emit(c, true)
-		return
-	}
-	if gap > 1.5*s.dt {
-		s.rep.GapsBridged++
-		s.rep.Gaps = append(s.rep.Gaps, Gap{Start: s.prev.T, Duration: gap, Bridged: true})
-		s.defect("gap_bridged")
-		if s.cfg.Hooks != nil {
-			s.cfg.Hooks.ConditionGap(gap)
-		}
-	}
-	for {
-		t := s.gridT0 + float64(s.gridN)*s.dt
-		if t > c.T+s.tol {
-			break
-		}
-		var out trace.Sample
-		if math.Abs(c.T-t) <= s.tol {
-			out = c
-		} else {
-			f := (t - s.prev.T) / (c.T - s.prev.T)
-			out = lerpSample(s.prev, c, f)
-			s.rep.Interpolated++
-			s.rep.Resampled = true
-		}
-		out.T = t
-		s.gridN++
-		s.emit(out, false)
-	}
-	s.prev = c
-}
-
-func (s *Streamer) emit(out trace.Sample, split bool) {
-	if clipped(out) {
-		s.clipRun++
-	} else {
-		s.endClipRun()
-	}
-	s.rep.Output++
-	s.out = append(s.out, Out{Sample: out, Split: split})
-}
-
-func (s *Streamer) endClipRun() {
-	if s.clipRun >= clipRunMin {
-		s.rep.ClippedSamples += s.clipRun
-		s.rep.ClippedRuns++
-		s.defect("clipped_run")
-	}
-	s.clipRun = 0
-}
-
-func (s *Streamer) defect(kind string) {
-	if s.cfg.Hooks != nil {
-		s.cfg.Hooks.ConditionDefect(kind, 1)
-	}
 }

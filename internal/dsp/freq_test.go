@@ -66,63 +66,6 @@ func TestDominantFrequencyDegenerate(t *testing.T) {
 	}
 }
 
-func TestResampleLinear(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := ResampleLinear(x, 7)
-	if len(y) != 7 {
-		t.Fatalf("len = %d", len(y))
-	}
-	if y[0] != 0 || y[6] != 3 {
-		t.Errorf("endpoints = %v, %v", y[0], y[6])
-	}
-	if math.Abs(y[3]-1.5) > 1e-12 {
-		t.Errorf("midpoint = %v, want 1.5", y[3])
-	}
-}
-
-func TestResampleLinearDegenerate(t *testing.T) {
-	if y := ResampleLinear(nil, 5); y != nil {
-		t.Errorf("nil input = %v", y)
-	}
-	if y := ResampleLinear([]float64{1, 2}, 0); y != nil {
-		t.Errorf("n=0 = %v", y)
-	}
-	y := ResampleLinear([]float64{7}, 3)
-	for _, v := range y {
-		if v != 7 {
-			t.Errorf("constant expand = %v", y)
-		}
-	}
-	y = ResampleLinear([]float64{1, 2, 3}, 1)
-	if len(y) != 1 || y[0] != 1 {
-		t.Errorf("n=1 = %v", y)
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	y := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d", len(y))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Errorf("y = %v, want %v", y, want)
-			break
-		}
-	}
-	// k<=1 copies.
-	y = Decimate(x, 1)
-	if len(y) != len(x) {
-		t.Fatalf("copy len = %d", len(y))
-	}
-	y[0] = 99
-	if x[0] == 99 {
-		t.Error("Decimate aliases input for k<=1")
-	}
-}
-
 // TestDominantFrequencyBandEdge locks the integer-bin iteration: a tone
 // sitting exactly on the last bin inside [minHz, maxHz] must be found.
 // The old floating accumulator (f += df) drifted over many bins and could

@@ -52,7 +52,7 @@ func Fig3CriticalPoints(opt Options) (*Table, *Fig3Result) {
 					v := dsp.FiltFilt(w.Vertical, 4.5, rec.Trace.SampleRate)
 					ant := dsp.FiltFilt(w.Anterior, 4.5, rec.Trace.SampleRate)
 					s.Vertical, s.Anterior, s.Margin = v, ant, margin
-					s.Offset, s.OffsetOK = gaitid.OffsetMetricMargin(v, ant, 0.12, margin)
+					s.Offset, s.OffsetOK = gaitid.OffsetMetricMargin(v, ant, margin)
 				}
 			}
 		}

@@ -127,10 +127,10 @@ func nearestDistance(v int, cands []int) int {
 // turning↔zero of the perpendicular axis), whereas vertical zero
 // crossings of a rigid motion carry no such guarantee.
 //
-// relProm is the extremum-prominence floor as a fraction of each signal's
-// range. ok is false when either direction yields no critical points.
-func OffsetMetric(vertical, anterior []float64, relProm float64) (offset float64, ok bool) {
-	return OffsetMetricMargin(vertical, anterior, relProm, 0)
+// Extrema less prominent than relProminence of each signal's range are
+// ignored. ok is false when either direction yields no critical points.
+func OffsetMetric(vertical, anterior []float64) (offset float64, ok bool) {
+	return OffsetMetricMargin(vertical, anterior, 0)
 }
 
 // OffsetMetricMargin is OffsetMetric over a margin-extended window: the
@@ -140,14 +140,14 @@ func OffsetMetric(vertical, anterior []float64, relProm float64) (offset float64
 // cycle boundary would be matched against a far-away candidate and a
 // perfectly rigid motion would read as desynchronised. The Eq. (1)
 // normaliser n is the core length.
-func OffsetMetricMargin(vertical, anterior []float64, relProm float64, margin int) (offset float64, ok bool) {
+func OffsetMetricMargin(vertical, anterior []float64, margin int) (offset float64, ok bool) {
 	var sc cpScratch
-	return sc.offsetMetricMargin(vertical, anterior, relProm, margin)
+	return sc.offsetMetricMargin(vertical, anterior, margin)
 }
 
 // offsetMetricMargin is OffsetMetricMargin on recycled scratch; see
 // cpScratch.
-func (sc *cpScratch) offsetMetricMargin(vertical, anterior []float64, relProm float64, margin int) (offset float64, ok bool) {
+func (sc *cpScratch) offsetMetricMargin(vertical, anterior []float64, margin int) (offset float64, ok bool) {
 	total := len(vertical)
 	if total == 0 || len(anterior) != total {
 		return 0, false
@@ -156,8 +156,8 @@ func (sc *cpScratch) offsetMetricMargin(vertical, anterior []float64, relProm fl
 		margin = 0
 	}
 	n := total - 2*margin
-	sc.tp = sc.turningPointsInto(sc.tp, vertical, relProm*signalRange(vertical))
-	sc.cp = sc.criticalPointsInto(sc.cp, anterior, relProm*signalRange(anterior))
+	sc.tp = sc.turningPointsInto(sc.tp, vertical, relProminence*signalRange(vertical))
+	sc.cp = sc.criticalPointsInto(sc.cp, anterior, relProminence*signalRange(anterior))
 	anchorsAll, cands := sc.tp, sc.cp
 	anchors := sc.anch[:0]
 	for _, a := range anchorsAll {

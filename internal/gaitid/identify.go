@@ -189,7 +189,7 @@ func (id *Identifier) ClassifyWindow(vertical, anterior []float64, margin int) C
 	a := aFull[margin : len(aFull)-margin]
 	vCore := v[margin : len(v)-margin]
 
-	res.Offset, res.OffsetOK = id.sc.offsetMetricMargin(v, aFull, relProminence, margin)
+	res.Offset, res.OffsetOK = id.sc.offsetMetricMargin(v, aFull, margin)
 	if res.OffsetOK && res.Offset > id.cfg.OffsetThreshold {
 		res.Label = LabelWalking
 		res.StepsAdded = 2
