@@ -131,7 +131,7 @@ ACCURACY_PINS := \
 	degrade-0.75-cond-err-pct=17.16 \
 	degrade-1-cond-err-pct=21.55
 
-.PHONY: check fmt vet test race conformance cluster-e2e perfbench loc bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen bench-accuracy build
+.PHONY: check fmt vet test race conformance cluster-e2e perfbench loc loc-test bench-guard bench-condition bench-json bench-trace bench-state bench-mem bench bench-batch bench-serve smoke-loadgen bench-accuracy build
 
 # race subsumes test (same suite under the race detector), so check runs
 # the suite once, raced; conformance re-runs the SessionStore contract
@@ -182,6 +182,12 @@ perfbench:
 # Informational: no threshold.
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
+
+# Test Go LOC, printed beside loc so code moved into tests (examples
+# turned into Example functions, say) shows up as such: every
+# git-tracked _test.go file outside perfbench. Informational.
+loc-test:
+	@git ls-files '*_test.go' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # The alloc-ceiling tests fail if the hot path regresses: the one-shot
 # and hook-enabled paths must stay under the post-recycling ceiling

@@ -541,22 +541,6 @@ func BenchmarkTrackerFootprint(b *testing.B) {
 	}
 }
 
-func BenchmarkFFT1024(b *testing.B) {
-	re := make([]float64, 1024)
-	im := make([]float64, 1024)
-	for i := range re {
-		re[i] = float64(i % 17)
-	}
-	work := make([]float64, 1024)
-	workIm := make([]float64, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, re)
-		copy(workIm, im)
-		dsp.FFT(work, workIm)
-	}
-}
-
 func BenchmarkParticleFilterStep(b *testing.B) {
 	route := deadreckon.MallRoute()
 	m, err := deadreckon.NewCorridorMap(route, 5)

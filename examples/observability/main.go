@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"time"
@@ -21,9 +22,19 @@ import (
 )
 
 func main() {
-	addr := flag.String("debug-addr", "localhost:6060", "debug server address")
-	hold := flag.Duration("hold", 0, "keep the debug server up this long after processing (e.g. 1m)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "observability example:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, writes the report and the metrics snapshot to stdout
+// and the debug-level cycle log to logw.
+func run(args []string, stdout, logw io.Writer) error {
+	fs := flag.NewFlagSet("observability", flag.ExitOnError)
+	addr := fs.String("debug-addr", "localhost:6060", "debug server address")
+	hold := fs.Duration("hold", 0, "keep the debug server up this long after processing (e.g. 1m)")
+	fs.Parse(args) // ExitOnError: a bad flag exits, as flag.Parse did
 
 	// A stream with all three regimes: genuine walking, walking with a
 	// still arm ("stepping"), and non-locomotive interference.
@@ -34,25 +45,25 @@ func main() {
 			{Activity: ptrack.ActivityStepping, Duration: 40},
 		})
 	if err != nil {
-		panic(err)
+		return err
 	}
 
 	metrics := ptrack.NewMetrics()
-	logger := ptrack.NewLogger(os.Stderr, slog.LevelDebug)
+	logger := ptrack.NewLogger(logw, slog.LevelDebug)
 	observer := ptrack.NewObserver(metrics).WithCycleLogger(logger)
 
 	srv, err := ptrack.ServeDebug(*addr, metrics)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	defer srv.Close()
-	fmt.Printf("debug server on http://%s (metrics, /debug/vars, /debug/pprof)\n\n", srv.Addr())
+	fmt.Fprintf(stdout, "debug server on http://%s (metrics, /debug/vars, /debug/pprof)\n\n", srv.Addr())
 
 	on, err := ptrack.NewOnline(rec.Trace.SampleRate,
 		ptrack.WithProfile(0.62, 0.90, 2.35),
 		ptrack.WithObserver(observer))
 	if err != nil {
-		panic(err)
+		return err
 	}
 	events := 0
 	for _, s := range rec.Trace.Samples {
@@ -60,16 +71,17 @@ func main() {
 	}
 	events += len(on.Flush())
 
-	fmt.Printf("\nprocessed %d samples, %d events, %d steps (truth %d)\n\n",
+	fmt.Fprintf(stdout, "\nprocessed %d samples, %d events, %d steps (truth %d)\n\n",
 		len(rec.Trace.Samples), events, on.Steps(), rec.Truth.StepCount())
 
-	fmt.Println("--- metrics snapshot ---")
-	if err := metrics.WritePrometheus(os.Stdout); err != nil {
-		panic(err)
+	fmt.Fprintln(stdout, "--- metrics snapshot ---")
+	if err := metrics.WritePrometheus(stdout); err != nil {
+		return err
 	}
 
 	if *hold > 0 {
-		fmt.Printf("\nholding debug server for %v...\n", *hold)
+		fmt.Fprintf(stdout, "\nholding debug server for %v...\n", *hold)
 		time.Sleep(*hold)
 	}
+	return nil
 }

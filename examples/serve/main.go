@@ -14,6 +14,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,13 +24,14 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "serve example:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run writes the example's progress to stdout.
+func run(stdout io.Writer) error {
 	// Simulate two minutes of walking to stream.
 	rec, err := ptrack.Simulate(ptrack.DefaultSimProfile(), ptrack.DefaultSimConfig(),
 		[]ptrack.SimSegment{{Activity: ptrack.ActivityWalking, Duration: 120}})
@@ -49,7 +51,7 @@ func run() error {
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		return err
 	}
-	fmt.Printf("server listening on %s\n", srv.Addr())
+	fmt.Fprintf(stdout, "server listening on %s\n", srv.Addr())
 
 	// --- client side ---------------------------------------------------
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -77,19 +79,19 @@ func run() error {
 	steps := 0
 	for ev := range events.Events() {
 		steps += ev.StepsAdded
-		fmt.Printf("  t=%6.2fs  %-12s steps=%d\n", ev.T, ev.Label, steps)
+		fmt.Fprintf(stdout, "  t=%6.2fs  %-12s steps=%d\n", ev.T, ev.Label, steps)
 	}
 	if err := events.Err(); err != nil {
 		return err
 	}
-	fmt.Printf("streamed session: %d steps\n", steps)
+	fmt.Fprintf(stdout, "streamed session: %d steps\n", steps)
 
 	// Whole recorded traces go through the pool in one round trip.
 	res, err := c.ProcessTrace(ctx, tr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("batch result:     %d steps, %.1f m\n", res.Steps, res.Distance)
+	fmt.Fprintf(stdout, "batch result:     %d steps, %.1f m\n", res.Steps, res.Distance)
 
 	// Graceful drain: in-flight work finishes, sessions flush, trailing
 	// events are delivered, then the listener closes.

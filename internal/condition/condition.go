@@ -78,7 +78,12 @@ const (
 	clipLimit  = 39.24 // saturation threshold per acceleration component, m/s^2 (±4 g)
 	clipRunMin = 3     // consecutive clipped samples that count as a saturated run
 	maxAmplify = 2     // samples a bridge may emit per raw sample committed, beyond one maxGapS hole's worth
+	maxRate    = 1000  // highest grid rate accepted, Hz; bounds the maxGapS·rate bridge allowance
 )
+
+// usableRate reports whether r can be a grid rate: positive, finite and
+// at most maxRate.
+func usableRate(r float64) bool { return r > 0 && r <= maxRate }
 
 // Gap is one detected hole in the input timeline.
 type Gap struct {
@@ -223,7 +228,7 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 		}
 	}
 	stageDone(h, "rate", t0)
-	if !(nominal > 0) || math.IsInf(nominal, 1) {
+	if !usableRate(nominal) {
 		rep.Rejected += len(samples)
 		reportDefects(h, rep)
 		return nil, rep, ErrUnusable
@@ -275,10 +280,10 @@ func Condition(tr *trace.Trace, cfg Config) ([]*trace.Trace, *Report, error) {
 }
 
 // inspect reports whether the samples already satisfy the ingestion
-// contract at the declared rate: finite fields, strictly increasing
-// timestamps within jitterTol of the uniform grid.
+// contract at the declared rate: a usable rate, finite fields, strictly
+// increasing timestamps within jitterTol of the uniform grid.
 func inspect(samples []trace.Sample, declared float64) bool {
-	if !(declared > 0) || math.IsInf(declared, 1) {
+	if !usableRate(declared) {
 		return false
 	}
 	dt := 1 / declared

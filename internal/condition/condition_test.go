@@ -249,6 +249,54 @@ func TestEmptyAndUnusable(t *testing.T) {
 	}
 }
 
+// TestRateCeiling: a grid rate above maxRate is refused. Without the
+// ceiling a trace with no declared rate, 10 samples 100 µs apart and one
+// more at 1.9 s is estimated at 10 kHz and bridged into 19 001 samples.
+func TestRateCeiling(t *testing.T) {
+	const dt = 100e-6
+	in := make([]trace.Sample, 0, 11)
+	for i := 0; i < 10; i++ {
+		in = append(in, trace.Sample{T: float64(i) * dt})
+	}
+	in = append(in, trace.Sample{T: 1.9})
+	segs, rep, err := Condition(&trace.Trace{Samples: in}, Config{})
+	if err != ErrUnusable || segs != nil {
+		t.Fatalf("10 kHz estimate: %d segments, err %v; want ErrUnusable", len(segs), err)
+	}
+	if rep.Rejected != len(in) || rep.Output != 0 {
+		t.Fatalf("10 kHz estimate: rejected %d, output %d; want %d, 0", rep.Rejected, rep.Output, len(in))
+	}
+
+	// Declared and spaced at 2 kHz: not clean, and refused.
+	fast := &trace.Trace{SampleRate: 2000, Samples: make([]trace.Sample, 100)}
+	for i := range fast.Samples {
+		fast.Samples[i].T = float64(i) / fast.SampleRate
+	}
+	if _, rep, err := Condition(fast, Config{}); err != ErrUnusable || rep.Clean {
+		t.Fatalf("2 kHz trace: clean %v, err %v; want ErrUnusable", rep.Clean, err)
+	}
+
+	// Declared at 5 kHz but spaced at the simulator's rate: the drift
+	// rule conditions it at the spaced rate.
+	tr := cleanTrace(t, 10)
+	segs, rep, err = Condition(&trace.Trace{SampleRate: 5000, Samples: tr.Samples}, Config{})
+	if err != nil {
+		t.Fatalf("5 kHz declaration: %v", err)
+	}
+	if !rep.RateDrift || math.Abs(rep.NominalRate-tr.SampleRate) > 0.5 || segs[0].SampleRate != rep.NominalRate {
+		t.Fatalf("5 kHz declaration: drift %v, nominal %v; want drift to ~%v", rep.RateDrift, rep.NominalRate, tr.SampleRate)
+	}
+
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), 2000} {
+		if _, err := NewStreamer(StreamConfig{Config: Config{NominalRate: rate}}); err == nil {
+			t.Errorf("NewStreamer(%v Hz) accepted", rate)
+		}
+	}
+	if _, err := NewStreamer(StreamConfig{Config: Config{NominalRate: maxRate}}); err != nil {
+		t.Errorf("NewStreamer(%v Hz): %v", maxRate, err)
+	}
+}
+
 // TestAmplificationBounded: a trace declared at 100 Hz that repeats
 // three samples 10 ms apart and then a 1.99 s hole passes the rate
 // check (the median spacing is 10 ms), and bridging every hole would

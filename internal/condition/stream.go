@@ -189,8 +189,8 @@ type Streamer struct {
 
 // NewStreamer builds an online conditioner emitting at cfg.NominalRate.
 func NewStreamer(cfg StreamConfig) (*Streamer, error) {
-	if !(cfg.NominalRate > 0) || math.IsInf(cfg.NominalRate, 1) {
-		return nil, fmt.Errorf("condition: nominal rate must be positive and finite, got %v", cfg.NominalRate)
+	if !usableRate(cfg.NominalRate) {
+		return nil, fmt.Errorf("condition: nominal rate must be in (0, %d] Hz, got %v", maxRate, cfg.NominalRate)
 	}
 	return &Streamer{grid: newGrid(cfg.NominalRate, cfg.Hooks), window: reorderWindow(cfg.NominalRate)}, nil
 }

@@ -13,32 +13,6 @@ import (
 	"math"
 )
 
-// LowPassSinglePole applies a first-order IIR low-pass filter
-// y[i] = y[i-1] + alpha*(x[i]-y[i-1]) with alpha derived from the cutoff
-// frequency (Hz) and the sample rate (Hz). It is the classic smoothing
-// filter used by pedometer front ends. It returns a new slice.
-func LowPassSinglePole(x []float64, cutoffHz, sampleRateHz float64) []float64 {
-	if len(x) == 0 {
-		return nil
-	}
-	alpha := singlePoleAlpha(cutoffHz, sampleRateHz)
-	out := make([]float64, len(x))
-	out[0] = x[0]
-	for i := 1; i < len(x); i++ {
-		out[i] = out[i-1] + alpha*(x[i]-out[i-1])
-	}
-	return out
-}
-
-func singlePoleAlpha(cutoffHz, sampleRateHz float64) float64 {
-	if cutoffHz <= 0 || sampleRateHz <= 0 {
-		return 1 // pass-through
-	}
-	dt := 1 / sampleRateHz
-	rc := 1 / (2 * math.Pi * cutoffHz)
-	return dt / (rc + dt)
-}
-
 // Biquad is a second-order IIR filter section (direct form I). The zero
 // value is a pass-through for b0=0; construct with NewLowPassBiquad.
 type Biquad struct {

@@ -14,46 +14,6 @@ func sine(n int, freqHz, sampleRateHz, amp float64) []float64 {
 	return out
 }
 
-func addInPlace(dst, src []float64) {
-	for i := range dst {
-		dst[i] += src[i]
-	}
-}
-
-func TestLowPassSinglePolePassesDCBlocksHigh(t *testing.T) {
-	const fs = 100.0
-	// DC + strong 30 Hz component; 2 Hz cutoff must keep DC and kill 30 Hz.
-	n := 1000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 5
-	}
-	addInPlace(x, sine(n, 30, fs, 3))
-	y := LowPassSinglePole(x, 2, fs)
-	// Skip the settle-in prefix.
-	tail := y[n/2:]
-	if m := Mean(tail); math.Abs(m-5) > 0.2 {
-		t.Errorf("DC not preserved: mean %v", m)
-	}
-	if s := StdDev(tail); s > 0.4 {
-		t.Errorf("30 Hz not attenuated: std %v", s)
-	}
-}
-
-func TestLowPassSinglePoleDegenerateParams(t *testing.T) {
-	x := []float64{1, 2, 3}
-	// Non-positive cutoff degrades to pass-through.
-	y := LowPassSinglePole(x, 0, 100)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatalf("pass-through violated at %d: %v", i, y[i])
-		}
-	}
-	if got := LowPassSinglePole(nil, 2, 100); got != nil {
-		t.Errorf("nil input should return nil, got %v", got)
-	}
-}
-
 func TestNewLowPassBiquadValidation(t *testing.T) {
 	tests := []struct {
 		name       string

@@ -104,9 +104,9 @@ func nearestDistance(v int, cands []int) int {
 	return best
 }
 
-// OffsetMetric computes the paper's Eq. (1) synchronisation offset for one
-// projected gait-cycle candidate, aggregated (mean) over the vertical
-// direction's turning points:
+// OffsetMetricMargin computes the paper's Eq. (1) synchronisation offset
+// for one projected gait-cycle candidate, aggregated (mean) over the
+// vertical direction's turning points:
 //
 //	δ(nv) = w(nv) · |nv − c(nv)| / n
 //
@@ -127,19 +127,16 @@ func nearestDistance(v int, cands []int) int {
 // turning↔zero of the perpendicular axis), whereas vertical zero
 // crossings of a rigid motion carry no such guarantee.
 //
+// The slices carry `margin` context samples on each side of the
+// gait-cycle core (0 for a bare cycle). Anchors are restricted to the
+// core, but matching candidates may lie in the margins — without
+// context, a vertical turning point near the cycle boundary would be
+// matched against a far-away candidate and a perfectly rigid motion
+// would read as desynchronised. The Eq. (1) normaliser n is the core
+// length.
+//
 // Extrema less prominent than relProminence of each signal's range are
 // ignored. ok is false when either direction yields no critical points.
-func OffsetMetric(vertical, anterior []float64) (offset float64, ok bool) {
-	return OffsetMetricMargin(vertical, anterior, 0)
-}
-
-// OffsetMetricMargin is OffsetMetric over a margin-extended window: the
-// slices carry `margin` context samples on each side of the gait-cycle
-// core. Anchors are restricted to the core, but matching candidates may
-// lie in the margins — without context, a vertical turning point near the
-// cycle boundary would be matched against a far-away candidate and a
-// perfectly rigid motion would read as desynchronised. The Eq. (1)
-// normaliser n is the core length.
 func OffsetMetricMargin(vertical, anterior []float64, margin int) (offset float64, ok bool) {
 	var sc cpScratch
 	return sc.offsetMetricMargin(vertical, anterior, margin)

@@ -92,7 +92,7 @@ func TestOffsetMetricSynchronizedRigidMotion(t *testing.T) {
 		ant[i] = math.Cos(ph)       // extrema at 0, n/2; zeros at n/4, 3n/4
 		vert[i] = -math.Cos(2 * ph) // extrema at 0, n/4, n/2, 3n/4
 	}
-	off, ok := OffsetMetric(vert, ant)
+	off, ok := OffsetMetricMargin(vert, ant, 0)
 	if !ok {
 		t.Fatal("no offset")
 	}
@@ -111,7 +111,7 @@ func TestOffsetMetricDesynchronizedWalking(t *testing.T) {
 		ant[i] = math.Cos(ph)
 		vert[i] = -math.Cos(2*ph - 0.8)
 	}
-	off, ok := OffsetMetric(vert, ant)
+	off, ok := OffsetMetricMargin(vert, ant, 0)
 	if !ok {
 		t.Fatal("no offset")
 	}
@@ -121,15 +121,15 @@ func TestOffsetMetricDesynchronizedWalking(t *testing.T) {
 }
 
 func TestOffsetMetricDegenerate(t *testing.T) {
-	if _, ok := OffsetMetric(nil, nil); ok {
+	if _, ok := OffsetMetricMargin(nil, nil, 0); ok {
 		t.Error("empty should fail")
 	}
-	if _, ok := OffsetMetric([]float64{1, 2}, []float64{1}); ok {
+	if _, ok := OffsetMetricMargin([]float64{1, 2}, []float64{1}, 0); ok {
 		t.Error("length mismatch should fail")
 	}
 	// Flat signals: no critical points.
 	flat := make([]float64, 100)
-	if _, ok := OffsetMetric(flat, flat); ok {
+	if _, ok := OffsetMetricMargin(flat, flat, 0); ok {
 		t.Error("flat should fail")
 	}
 }
@@ -172,7 +172,7 @@ func TestOffsetMetricMonotoneInShift(t *testing.T) {
 			ant[i] = math.Cos(ph)
 			vert[i] = -math.Cos(2*ph - shift)
 		}
-		off, ok := OffsetMetric(vert, ant)
+		off, ok := OffsetMetricMargin(vert, ant, 0)
 		if !ok {
 			t.Fatalf("no offset at shift %v", shift)
 		}

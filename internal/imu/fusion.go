@@ -118,9 +118,6 @@ func (f *ComplementaryFilter) Update(gyro, accel vecmath.Vec3, dt float64) vecma
 	return f.q
 }
 
-// Attitude returns the current estimate without updating.
-func (f *ComplementaryFilter) Attitude() vecmath.Quat { return f.q }
-
 // Vertical returns the world-frame vertical linear acceleration implied by
 // the current attitude for a raw accelerometer sample.
 func (f *ComplementaryFilter) Vertical(accel vecmath.Vec3) float64 {

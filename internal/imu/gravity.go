@@ -41,9 +41,6 @@ func (g *GravityEstimator) Update(accel vecmath.Vec3) vecmath.Vec3 {
 	return g.gravity
 }
 
-// Gravity returns the current estimate without updating.
-func (g *GravityEstimator) Gravity() vecmath.Vec3 { return g.gravity }
-
 // State returns the estimator's mutable state (the running gravity
 // vector and whether the first sample has primed it) for snapshotting.
 func (g *GravityEstimator) State() (gravity vecmath.Vec3, primed bool) {

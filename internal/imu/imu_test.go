@@ -98,8 +98,8 @@ func TestGravityEstimatorConverges(t *testing.T) {
 	if est.Sub(truth).Norm() > 0.3 {
 		t.Errorf("gravity estimate = %v, want ~%v", est, truth)
 	}
-	if got := g.Gravity(); got != est {
-		t.Error("Gravity() disagrees with last Update result")
+	if got, _ := g.State(); got != est {
+		t.Error("State() disagrees with last Update result")
 	}
 }
 

@@ -24,7 +24,6 @@ package selftrain
 
 import (
 	"fmt"
-
 	"sort"
 
 	"ptrack/internal/gaitid"
@@ -124,12 +123,30 @@ func collect(tr *trace.Trace) ([]triple, []float64, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("selftrain: %w", err)
 	}
+	var triples []triple
+	var stepBounces []float64
+	eachCycleSteps(tr, est, func(label gaitid.Label, found []stride.Step) {
+		for _, s := range found {
+			switch {
+			case label == gaitid.LabelWalking && s.D > 0:
+				triples = append(triples, triple{h1: s.H1, h2: s.H2, d: s.D})
+			case label == gaitid.LabelStepping && s.Bounce > 0:
+				stepBounces = append(stepBounces, s.Bounce)
+			}
+		}
+	})
+	return triples, stepBounces, nil
+}
+
+// eachCycleSteps segments tr, projects every cycle whose classification
+// margin fits inside the trace, classifies it, and passes each walking or
+// stepping cycle's label and the steps est finds in it to visit, in
+// trace order. Cycles at the trace edges and failed projections are
+// skipped; interference cycles are not visited.
+func eachCycleSteps(tr *trace.Trace, est *stride.Estimator, visit func(gaitid.Label, []stride.Step)) {
 	seg := segment.Segment(tr, segment.Config{})
 	series := project.Decompose(tr)
 	id := gaitid.NewIdentifier(gaitid.Config{}, tr.SampleRate)
-
-	var triples []triple
-	var stepBounces []float64
 	for _, cyc := range seg.Cycles {
 		margin := int(gaitid.MarginFraction * float64(cyc.Len()))
 		start, end := cyc.Start-margin, cyc.End+margin
@@ -140,23 +157,13 @@ func collect(tr *trace.Trace) ([]triple, []float64, error) {
 		if !w.OK {
 			continue
 		}
-		cr := id.ClassifyWindow(w.Vertical, w.Anterior, margin)
-		switch cr.Label {
+		switch label := id.ClassifyWindow(w.Vertical, w.Anterior, margin).Label; label {
 		case gaitid.LabelWalking:
-			for _, s := range est.EstimateWalking(w.Vertical, w.Anterior, margin, tr.SampleRate) {
-				if s.D > 0 {
-					triples = append(triples, triple{h1: s.H1, h2: s.H2, d: s.D})
-				}
-			}
+			visit(label, est.EstimateWalking(w.Vertical, w.Anterior, margin, tr.SampleRate))
 		case gaitid.LabelStepping:
-			for _, s := range est.EstimateStepping(w.Vertical, margin, tr.SampleRate) {
-				if s.Bounce > 0 {
-					stepBounces = append(stepBounces, s.Bounce)
-				}
-			}
+			visit(label, est.EstimateStepping(w.Vertical, margin, tr.SampleRate))
 		}
 	}
-	return triples, stepBounces, nil
 }
 
 // searchArm finds the arm length whose median walking bounce matches the
@@ -202,35 +209,14 @@ func calibrateK(tr *trace.Trace, cfg stride.Config, knownDistance float64) (floa
 	if err != nil {
 		return 0, false
 	}
-	seg := segment.Segment(tr, segment.Config{})
-	series := project.Decompose(tr)
-	id := gaitid.NewIdentifier(gaitid.Config{}, tr.SampleRate)
-
 	var distance float64
 	var steps int
-	for _, cyc := range seg.Cycles {
-		margin := int(gaitid.MarginFraction * float64(cyc.Len()))
-		start, end := cyc.Start-margin, cyc.End+margin
-		if start < 0 || end > len(tr.Samples) {
-			continue
-		}
-		w := series.ProjectWindow(start, end)
-		if !w.OK {
-			continue
-		}
-		cr := id.ClassifyWindow(w.Vertical, w.Anterior, margin)
-		var found []stride.Step
-		switch cr.Label {
-		case gaitid.LabelWalking:
-			found = est.EstimateWalking(w.Vertical, w.Anterior, margin, tr.SampleRate)
-		case gaitid.LabelStepping:
-			found = est.EstimateStepping(w.Vertical, margin, tr.SampleRate)
-		}
+	eachCycleSteps(tr, est, func(_ gaitid.Label, found []stride.Step) {
 		for _, s := range found {
 			distance += s.Stride
 			steps++
 		}
-	}
+	})
 	if distance <= 0 || steps == 0 {
 		return 0, false
 	}

@@ -128,6 +128,68 @@ func TestTrackerConditioningSplitsLongGap(t *testing.T) {
 	}
 }
 
+// Flush can release a split: a stream that ends with a hole longer than
+// the conditioner bridges, followed by fewer samples than its reorder
+// window holds, keeps the hole pending until Flush. Flush must cut there
+// and decide the cycles before the hole on what precedes it, then take
+// the short tail, which holds no cycle — so the events equal those of
+// the stream that stops at the hole, on the per-sample and the block
+// path alike. The stream stops 15 samples after a cycle end, inside that
+// cycle's trailing margin, so the cycle is decided on a short margin the
+// tail would lengthen.
+func TestFlushReleasesSplit(t *testing.T) {
+	p := gaitsim.DefaultProfile()
+	rec, err := gaitsim.SimulateActivity(p, gaitsim.DefaultConfig(), trace.ActivityWalking, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := onlineConfig(p)
+	cfg.Condition = &condition.StreamConfig{}
+	full, _ := collectPush(t, cfg, rec.Trace)
+	end := full[len(full)/2].T + 15/rec.Trace.SampleRate
+	head := &trace.Trace{SampleRate: rec.Trace.SampleRate}
+	for _, s := range rec.Trace.Samples {
+		if s.T <= end {
+			head.Samples = append(head.Samples, s)
+		}
+	}
+	want, wantSteps := collectPush(t, cfg, head)
+	if wantSteps == 0 {
+		t.Fatal("the stream before the hole counted no steps")
+	}
+
+	// A jolt after the hole, which would land in that margin if it were
+	// appended to the walk without the split.
+	tail := &trace.Trace{SampleRate: head.SampleRate, Samples: append([]trace.Sample(nil), head.Samples...)}
+	last := tail.Samples[len(tail.Samples)-1]
+	for i := 1; i <= 3; i++ {
+		s := last
+		s.T += 5 + float64(i)/tail.SampleRate
+		s.Accel.Z += 30
+		tail.Samples = append(tail.Samples, s)
+	}
+
+	tk, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Event
+	for _, s := range tail.Samples {
+		got = append(got, tk.Push(s)...)
+	}
+	if n := tk.ConditionReport().GapsSplit; n != 0 {
+		t.Fatalf("%d splits before Flush, want the hole still in the reorder window", n)
+	}
+	got = append(got, tk.Flush()...)
+	if n := tk.ConditionReport().GapsSplit; n != 1 {
+		t.Fatalf("Flush released %d splits, want 1", n)
+	}
+	requireSameEvents(t, "push", got, want, tk.Steps(), wantSteps)
+
+	blocks, blockSteps := collectPushBlock(t, cfg, tail, func() int { return BlockSamples })
+	requireSameEvents(t, "block", blocks, want, blockSteps, wantSteps)
+}
+
 func absDiff(a, b int) int {
 	if a > b {
 		return a - b

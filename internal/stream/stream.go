@@ -149,14 +149,14 @@ type Tracker struct {
 
 	// Push-path scratch (never snapshotted): evBuf backs the slices Push
 	// and Flush return, so uneventful pushes allocate nothing; one is the
-	// single-sample window Push feeds through the block ingest kernel;
-	// condRun accumulates conditioner output between splits so PushBlock
-	// can feed the conditioned stream through the block path too.
+	// single-sample block Push hands to PushBlock; condRun accumulates
+	// conditioner output between splits so PushBlock and Flush feed the
+	// conditioned stream through the block path too.
 	evBuf   []Event
 	one     [1]trace.Sample
 	condRun []trace.Sample
 
-	// condTime is the wall time PushBlock has spent inside the
+	// condTime is the wall time Push and PushBlock have spent inside the
 	// conditioner (see ConditionTime); diagnostic, never snapshotted.
 	condTime time.Duration
 }
@@ -257,22 +257,12 @@ func (t *Tracker) Threshold() float64 {
 // events must copy them out. Uneventful pushes return nil and perform no
 // event allocation.
 func (t *Tracker) Push(s trace.Sample) []Event {
-	evs := t.evBuf[:0]
-	if t.cond == nil {
-		evs = t.pushAppend(evs, s)
-	} else {
-		for _, o := range t.cond.Push(s) {
-			if o.Split {
-				evs = t.splitResetInto(evs)
-			}
-			evs = t.pushAppend(evs, o.Sample)
-		}
-	}
-	t.evBuf = evs
-	if len(evs) == 0 {
+	t.one[0] = s
+	t.evBuf = t.PushBlock(t.one[:], t.evBuf[:0])
+	if len(t.evBuf) == 0 {
 		return nil
 	}
-	return evs
+	return t.evBuf
 }
 
 // PushBlock consumes a block of samples — the batch a decoded PTB1 body
@@ -299,6 +289,13 @@ func (t *Tracker) PushBlock(samples []trace.Sample, events []Event) []Event {
 	start := time.Now()
 	outs := t.cond.PushBlock(samples)
 	t.condTime += time.Since(start)
+	return t.pushConditioned(events, outs)
+}
+
+// pushConditioned feeds conditioner output through the block kernel,
+// re-blocked between splits: each split first ends the run before it,
+// then resets the tracker state that must not span the discontinuity.
+func (t *Tracker) pushConditioned(events []Event, outs []condition.Out) []Event {
 	run := t.condRun[:0]
 	for _, o := range outs {
 		if o.Split {
@@ -311,13 +308,6 @@ func (t *Tracker) PushBlock(samples []trace.Sample, events []Event) []Event {
 	events = t.pushCleanBlock(events, run)
 	t.condRun = run[:0]
 	return events
-}
-
-// pushAppend consumes one conditioned (or trusted-clean) sample,
-// appending any decidable events to evs.
-func (t *Tracker) pushAppend(evs []Event, s trace.Sample) []Event {
-	t.one[0] = s
-	return t.pushCleanBlock(evs, t.one[:])
 }
 
 // pushCleanBlock feeds a block of clean samples through the ingest
@@ -413,12 +403,7 @@ func extend(x []float64, k int) []float64 {
 func (t *Tracker) Flush() []Event {
 	evs := t.evBuf[:0]
 	if t.cond != nil {
-		for _, o := range t.cond.Flush() {
-			if o.Split {
-				evs = t.splitResetInto(evs)
-			}
-			evs = t.pushAppend(evs, o.Sample)
-		}
+		evs = t.pushConditioned(evs, t.cond.Flush())
 	}
 	n0 := len(evs)
 	evs = t.drainInto(evs, true)
@@ -430,11 +415,11 @@ func (t *Tracker) Flush() []Event {
 	return evs
 }
 
-// ConditionTime returns the cumulative wall time PushBlock has spent
-// inside the input conditioner (0 with conditioning disabled). The
-// session hub reads its delta across a traced block to give the block's
-// tracker.push span a measured "condition" child; the two clock reads
-// per block are paid only by conditioned trackers.
+// ConditionTime returns the cumulative wall time Push and PushBlock
+// have spent inside the input conditioner (0 with conditioning
+// disabled). The session hub reads its delta across a traced block to
+// give the block's tracker.push span a measured "condition" child; the
+// two clock reads per block are paid only by conditioned trackers.
 func (t *Tracker) ConditionTime() time.Duration { return t.condTime }
 
 // ConditionReport returns the live defect report of the input
