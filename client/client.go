@@ -6,10 +6,15 @@
 //
 // The client speaks the wire formats of internal/wire — NDJSON by
 // default, the compact binary framing with WithBinary — and implements
-// the server's admission contract: on 429 and 5xx it backs off
-// exponentially with jitter (honouring Retry-After), resumes partially
-// accepted pushes from the server's reported offset, and respects
-// context cancellation everywhere.
+// the server's refusal protocol through wire's one retry loop: on
+// transport errors, 429 and 5xx it backs off exponentially with ±25%
+// jitter, never retrying sooner than the refusal's Retry-After (header,
+// or the envelope's retry_after_s when a proxy strips it); it resumes
+// partially accepted pushes from the envelope's accepted offset and
+// respects context cancellation everywhere. A 503 shard_moved — a
+// push, subscription or end forwarded to a replica whose ring names
+// another owner — is such a refusal: it accepted nothing, so the retry
+// resends the whole batch once the replicas' rings agree.
 package client
 
 import (
@@ -20,10 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,30 +58,6 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("client: server returned %d: %s", e.Status, e.Msg)
 }
 
-// errorBody mirrors the server's unified error envelope
-// (docs/SERVING.md): message, stable code, the Retry-After wait
-// mirrored into the body, and — on push refusals — how many samples
-// were accepted before the refusal.
-type errorBody struct {
-	Error       string `json:"error"`
-	Code        string `json:"code"`
-	RetryAfterS int    `json:"retry_after_s"`
-	Accepted    *int   `json:"accepted"`
-}
-
-// retryWait reconciles the Retry-After header with the envelope's
-// mirrored copy: the header wins when present, the body fills in when a
-// proxy stripped it. now anchors the HTTP-date form of the header.
-func retryWait(h http.Header, body errorBody, now time.Time) time.Duration {
-	if d := parseRetryAfter(h, now); d > 0 {
-		return d
-	}
-	if body.RetryAfterS > 0 {
-		return time.Duration(body.RetryAfterS) * time.Second
-	}
-	return 0
-}
-
 // Option configures a Client.
 type Option func(*Client)
 
@@ -100,12 +79,12 @@ func WithBinary() Option { return func(c *Client) { c.binary = true } }
 // tail between reads, and its block pushes run at full width.
 func WithBatchSize(n int) Option { return func(c *Client) { c.batch = n } }
 
-// WithRetry tunes the backoff loop: at most maxRetries retries per
-// request, starting at base and doubling up to maxWait (defaults: 5,
-// 100ms, 5s). The server's Retry-After raises a step's wait when
-// longer. maxRetries of 0 disables retrying.
+// WithRetry tunes the retry budget (wire.Backoff): at most maxRetries
+// retries per request, the wait starting at base and doubling up to
+// maxWait with ±25% jitter (defaults: 5, 100ms, 5s). The server's
+// Retry-After floors a step's wait. maxRetries of 0 disables retrying.
 func WithRetry(maxRetries int, base, maxWait time.Duration) Option {
-	return func(c *Client) { c.maxRetries, c.backoffBase, c.backoffMax = maxRetries, base, maxWait }
+	return func(c *Client) { c.retry = wire.Backoff{Retries: maxRetries, Base: base, Max: maxWait} }
 }
 
 // WithTracer attaches a span tracer (see ptrack.NewTracer): pushes,
@@ -156,15 +135,10 @@ type Client struct {
 	binary bool
 	batch  int
 
-	maxRetries  int
-	backoffBase time.Duration
-	backoffMax  time.Duration
+	retry       wire.Backoff
 	tracer      *ptrack.Tracer
 	attemptHook func(Attempt)
 	now         func() time.Time // stubbed in tests
-
-	mu  sync.Mutex // guards rng
-	rng *rand.Rand
 }
 
 // Dial prepares a client for the server at baseURL (e.g.
@@ -179,14 +153,11 @@ func Dial(baseURL string, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("client: unsupported scheme %q (want http or https)", u.Scheme)
 	}
 	c := &Client{
-		base:        strings.TrimRight(u.String(), "/"),
-		hc:          &http.Client{},
-		batch:       256,
-		maxRetries:  5,
-		backoffBase: 100 * time.Millisecond,
-		backoffMax:  5 * time.Second,
-		now:         time.Now,
-		rng:         rand.New(rand.NewSource(rand.Int63())),
+		base:  strings.TrimRight(u.String(), "/"),
+		hc:    &http.Client{},
+		batch: 256,
+		retry: wire.Backoff{Retries: 5, Base: 100 * time.Millisecond, Max: 5 * time.Second},
+		now:   time.Now,
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -345,7 +316,7 @@ func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (err error) {
 	}
 	u := fmt.Sprintf("%s/v1/sessions/%s/samples", s.c.base, url.PathEscape(s.id))
 	sent := 0
-	for attempt := 0; ; attempt++ {
+	return s.c.retry.Retry(ctx, func(n int) (bool, time.Duration, error) {
 		s.buf = s.buf[:0]
 		if s.c.binary {
 			s.buf = wire.AppendBinaryHeader(s.buf)
@@ -359,58 +330,40 @@ func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (err error) {
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(s.buf))
 		if err != nil {
-			return err
+			return false, 0, err
 		}
 		req.Header.Set("Content-Type", ct)
 		tracing.Inject(span.Context(), req.Header)
 		start := s.c.now()
 		resp, err := s.c.hc.Do(req)
 		if err != nil {
-			s.c.observe(Attempt{Op: "push", Err: err, Start: start,
-				Duration: s.c.now().Sub(start), Retries: attempt})
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			if attempt >= s.c.maxRetries {
-				return fmt.Errorf("%w: %v", ErrGiveUp, err)
-			}
-			if err := s.c.sleep(ctx, attempt, 0); err != nil {
-				return err
-			}
-			continue
+			return true, 0, s.c.transportFailed("push", n, start, err)
 		}
 		// One decode serves every outcome: a success body carries only
 		// accepted, a refusal the full envelope.
-		var eb errorBody
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		drainClose(resp.Body)
-		wait := retryWait(resp.Header, eb, s.c.now())
+		eb, decErr := readEnvelope(resp.Body)
+		wait := wire.RetryWait(resp.Header, eb, s.c.now())
 		s.c.observe(Attempt{Op: "push", Status: resp.StatusCode, Start: start,
-			Duration: s.c.now().Sub(start), Retries: attempt, RetryAfter: wait})
+			Duration: s.c.now().Sub(start), Retries: n, RetryAfter: wait})
 
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			if decErr != nil {
-				return fmt.Errorf("client: push response: %w", decErr)
+				return false, 0, fmt.Errorf("client: push response: %w", decErr)
 			}
-			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
+			return false, 0, nil
+		case retryable(resp.StatusCode):
 			if decErr == nil && eb.Accepted != nil {
 				sent += *eb.Accepted // resume after what the server took
 			}
 			if sent >= len(batch) {
-				return nil
+				return false, 0, nil
 			}
-			if attempt >= s.c.maxRetries {
-				return fmt.Errorf("%w: status %d (%s): %s", ErrGiveUp, resp.StatusCode, eb.Code, eb.Error)
-			}
-			if err := s.c.sleep(ctx, attempt, wait); err != nil {
-				return err
-			}
+			return true, wait, refused(resp.StatusCode, eb)
 		default:
-			return &StatusError{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Error}
+			return false, 0, &StatusError{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Error}
 		}
-	}
+	})
 }
 
 // --- events ----------------------------------------------------------
@@ -558,11 +511,11 @@ func (es *EventStream) run(ctx context.Context, body io.ReadCloser) {
 			fruitless = 0
 		} else {
 			fruitless++
-			if fruitless > es.c.maxRetries {
+			if fruitless > es.c.retry.Retries {
 				es.fail(fmt.Errorf("client: events: %w: stream kept dying before any event", ErrGiveUp))
 				return
 			}
-			if err := es.c.sleep(ctx, fruitless-1, 0); err != nil {
+			if err := es.c.retry.Wait(ctx, fruitless-1, 0); err != nil {
 				es.fail(err)
 				return
 			}
@@ -710,9 +663,7 @@ func (c *Client) ProcessBatch(ctx context.Context, traces []*ptrack.Trace) ([]pt
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		drainClose(resp.Body)
+		eb, _ := readEnvelope(resp.Body)
 		return nil, &StatusError{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Error}
 	}
 	var br wire.BatchResponse
@@ -734,52 +685,53 @@ func (c *Client) ProcessBatch(ctx context.Context, traces []*ptrack.Trace) ([]pt
 
 // --- retry machinery -------------------------------------------------
 
-// do issues a request with the retry policy: transport errors, 429 and
-// 5xx retry with exponential backoff (honouring Retry-After) until the
-// budget runs out. build is called per attempt so each request gets a
-// fresh body. On success the response is returned with its body open.
-// op names the call for the attempt hook.
+// do issues a request under the retry budget: transport errors, 429
+// and 5xx are retried (see wire.Backoff). build is called per attempt
+// so each request gets a fresh body. On success the response is
+// returned with its body open. op names the call for the attempt hook.
 func (c *Client) do(ctx context.Context, op string, build func() (*http.Request, error)) (*http.Response, error) {
-	for attempt := 0; ; attempt++ {
+	var resp *http.Response
+	err := c.retry.Retry(ctx, func(n int) (bool, time.Duration, error) {
 		req, err := build()
 		if err != nil {
-			return nil, err
+			return false, 0, err
 		}
 		start := c.now()
-		resp, err := c.hc.Do(req)
+		r, err := c.hc.Do(req)
 		if err != nil {
-			c.observe(Attempt{Op: op, Err: err, Start: start,
-				Duration: c.now().Sub(start), Retries: attempt})
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			if attempt >= c.maxRetries {
-				return nil, fmt.Errorf("%w: %v", ErrGiveUp, err)
-			}
-			if err := c.sleep(ctx, attempt, 0); err != nil {
-				return nil, err
-			}
-			continue
+			return true, 0, c.transportFailed(op, n, start, err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-			var eb errorBody
-			_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-			drainClose(resp.Body)
-			wait := retryWait(resp.Header, eb, c.now())
-			c.observe(Attempt{Op: op, Status: resp.StatusCode, Start: start,
-				Duration: c.now().Sub(start), Retries: attempt, RetryAfter: wait})
-			if attempt >= c.maxRetries {
-				return nil, fmt.Errorf("%w: status %d (%s): %s", ErrGiveUp, resp.StatusCode, eb.Code, eb.Error)
-			}
-			if err := c.sleep(ctx, attempt, wait); err != nil {
-				return nil, err
-			}
-			continue
+		if !retryable(r.StatusCode) {
+			c.observe(Attempt{Op: op, Status: r.StatusCode, Start: start,
+				Duration: c.now().Sub(start), Retries: n})
+			resp = r
+			return false, 0, nil
 		}
-		c.observe(Attempt{Op: op, Status: resp.StatusCode, Start: start,
-			Duration: c.now().Sub(start), Retries: attempt})
-		return resp, nil
-	}
+		eb, _ := readEnvelope(r.Body)
+		wait := wire.RetryWait(r.Header, eb, c.now())
+		c.observe(Attempt{Op: op, Status: r.StatusCode, Start: start,
+			Duration: c.now().Sub(start), Retries: n, RetryAfter: wait})
+		return true, wait, refused(r.StatusCode, eb)
+	})
+	return resp, err
+}
+
+// retryable reports whether a status is a refusal worth retrying.
+func retryable(status int) bool {
+	return status == http.StatusTooManyRequests || status >= 500
+}
+
+// refused is the error a retryable refusal leaves once the budget runs
+// out.
+func refused(status int, eb wire.ErrorBody) error {
+	return fmt.Errorf("%w: status %d (%s): %s", ErrGiveUp, status, eb.Code, eb.Error)
+}
+
+// transportFailed reports a failed attempt to the hook and returns the
+// error it leaves once the budget runs out.
+func (c *Client) transportFailed(op string, n int, start time.Time, err error) error {
+	c.observe(Attempt{Op: op, Err: err, Start: start, Duration: c.now().Sub(start), Retries: n})
+	return fmt.Errorf("%w: %v", ErrGiveUp, err)
 }
 
 // observe feeds one attempt to the hook, if any.
@@ -789,61 +741,13 @@ func (c *Client) observe(a Attempt) {
 	}
 }
 
-// sleep waits out one backoff step: exponential from the base, capped,
-// with ±25% jitter so a fleet of backing-off clients doesn't re-arrive
-// in lockstep — but never below the server's Retry-After, which is a
-// promise about when capacity returns, not a suggestion the jitter may
-// undercut (the floor applies after the jitter, on 429 and 503 alike).
-func (c *Client) sleep(ctx context.Context, attempt int, retryAfter time.Duration) error {
-	d := c.backoffBase << uint(attempt)
-	if d > c.backoffMax || d <= 0 {
-		d = c.backoffMax
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	c.mu.Lock()
-	jitter := time.Duration(c.rng.Int63n(int64(d)/2+1)) - time.Duration(int64(d)/4)
-	c.mu.Unlock()
-	d += jitter
-	if retryAfter > 0 && d < retryAfter {
-		d = retryAfter
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// parseRetryAfter reads both RFC 9110 forms of Retry-After: the
-// delta-seconds form ptrack-serve emits ("2") and the HTTP-date form
-// ("Fri, 07 Aug 2026 12:00:00 GMT") that proxies and load balancers in
-// front of it rewrite or originate. Either form feeds the backoff floor
-// (see sleep); a date at or before now — capacity already returned, or
-// clock skew — clamps to 0 rather than going negative.
-func parseRetryAfter(h http.Header, now time.Time) time.Duration {
-	v := strings.TrimSpace(h.Get("Retry-After"))
-	if v == "" {
-		return 0
-	}
-	if sec, err := strconv.Atoi(v); err == nil {
-		if sec < 0 {
-			return 0
-		}
-		return time.Duration(sec) * time.Second
-	}
-	at, err := http.ParseTime(v)
-	if err != nil {
-		return 0
-	}
-	if d := at.Sub(now); d > 0 {
-		return d
-	}
-	return 0
+// readEnvelope decodes a bounded response body as the error envelope
+// and closes it.
+func readEnvelope(body io.ReadCloser) (wire.ErrorBody, error) {
+	var eb wire.ErrorBody
+	err := json.NewDecoder(io.LimitReader(body, 1<<16)).Decode(&eb)
+	drainClose(body)
+	return eb, err
 }
 
 // drainClose consumes a bounded remainder of a response body before

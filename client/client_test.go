@@ -121,39 +121,6 @@ func TestRetryAfterBodyFallback(t *testing.T) {
 	}
 }
 
-// TestParseRetryAfterForms pins both RFC 9110 forms of Retry-After:
-// delta-seconds and HTTP-date. The date form is what proxies and load
-// balancers in front of ptrack-serve emit; before the fix it parsed to
-// 0 and silently lost the backoff floor.
-func TestParseRetryAfterForms(t *testing.T) {
-	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	cases := []struct {
-		name  string
-		value string
-		want  time.Duration
-	}{
-		{"absent", "", 0},
-		{"delta", "2", 2 * time.Second},
-		{"delta-zero", "0", 0},
-		{"delta-negative", "-3", 0},
-		{"delta-padded", "  2  ", 2 * time.Second},
-		{"http-date", now.Add(90 * time.Second).Format(http.TimeFormat), 90 * time.Second},
-		{"http-date-past", now.Add(-time.Minute).Format(http.TimeFormat), 0},
-		{"http-date-now", now.Format(http.TimeFormat), 0},
-		{"rfc850-date", now.Add(30 * time.Second).Format("Monday, 02-Jan-06 15:04:05 GMT"), 30 * time.Second},
-		{"garbage", "soon", 0},
-	}
-	for _, tc := range cases {
-		h := http.Header{}
-		if tc.value != "" {
-			h.Set("Retry-After", tc.value)
-		}
-		if got := parseRetryAfter(h, now); got != tc.want {
-			t.Errorf("%s: parseRetryAfter(%q) = %v, want %v", tc.name, tc.value, got, tc.want)
-		}
-	}
-}
-
 // TestRetryAfterHTTPDateFloorsBackoff is the regression test for the
 // date-form bug end to end: a 429 whose Retry-After is an HTTP date one
 // second out must floor the retry gap exactly like the delta form —

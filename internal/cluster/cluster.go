@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -9,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"ptrack/internal/obs"
 	"ptrack/internal/store"
 )
 
@@ -64,7 +64,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(discardHandler{})
+		log = obs.Discard
 	}
 	c := &Cluster{
 		self:     cfg.Self,
@@ -302,12 +302,3 @@ func (s *routedStore) Delete(session string) error {
 func (s *routedStore) List() ([]string, error) {
 	return s.local.List()
 }
-
-// discardHandler is a slog.Handler that drops everything (slog has no
-// built-in discard handler until Go 1.24).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

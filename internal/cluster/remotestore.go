@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -21,15 +22,22 @@ import (
 // List is GET /v1/state. Session IDs are URL-safe base64 in the path —
 // the same encoding the dir store uses for filenames, and for the same
 // reason: raw IDs like ".." or "with/slash" are hostile to paths.
-// Transient failures (transport errors, 5xx) are retried with a short
-// doubling backoff so a flaky link doesn't turn a checkpoint into a
-// lost snapshot; 4xx responses are terminal. Safe for concurrent use.
+// Transient failures (transport errors, unreadable bodies, 5xx) are
+// retried through wire's retry loop — a short jittered doubling
+// backoff — so a flaky link doesn't turn a checkpoint into a lost
+// snapshot; 429 and other 4xx responses are terminal. A refusal's
+// Retry-After is not honoured, so a draining peer cannot stall a
+// checkpoint for seconds. Safe for concurrent use.
 type RemoteStore struct {
-	base    string
-	hc      *http.Client
-	retries int
-	backoff time.Duration
+	base  string
+	hc    *http.Client
+	retry wire.Backoff
 }
+
+// remoteBackoffMax caps the doubling backoff between attempts; the
+// default budget (2 retries from 25 ms) waits at most 50 ms before
+// jitter.
+const remoteBackoffMax = time.Second
 
 // RemoteOption configures a RemoteStore.
 type RemoteOption func(*RemoteStore)
@@ -45,15 +53,13 @@ func WithRemoteHTTPClient(hc *http.Client) RemoteOption {
 }
 
 // WithRemoteRetry sets the retry budget: attempts = retries + 1, with
-// backoff doubling between attempts. retries < 0 disables retrying.
+// the backoff doubling from backoff up to 1 s, ±25% jitter. retries < 0
+// disables retrying.
 func WithRemoteRetry(retries int, backoff time.Duration) RemoteOption {
 	return func(r *RemoteStore) {
-		if retries < 0 {
-			retries = 0
-		}
-		r.retries = retries
+		r.retry.Retries = max(retries, 0)
 		if backoff > 0 {
-			r.backoff = backoff
+			r.retry.Base = backoff
 		}
 	}
 }
@@ -69,10 +75,9 @@ func NewRemoteStore(baseURL string, opts ...RemoteOption) (*RemoteStore, error) 
 		return nil, fmt.Errorf("cluster: remote store URL %q has no scheme", baseURL)
 	}
 	r := &RemoteStore{
-		base:    baseURL,
-		hc:      &http.Client{Timeout: 10 * time.Second},
-		retries: 2,
-		backoff: 25 * time.Millisecond,
+		base:  baseURL,
+		hc:    &http.Client{Timeout: 10 * time.Second},
+		retry: wire.Backoff{Retries: 2, Base: 25 * time.Millisecond, Max: remoteBackoffMax},
 	}
 	for _, o := range opts {
 		o(r)
@@ -151,49 +156,44 @@ type stateList struct {
 }
 
 // roundTrip performs one store operation with the retry budget:
-// transport errors and 5xx responses are transient (the flaky-link
-// case the conformance suite injects), anything else returns to the
-// caller for classification.
-func (r *RemoteStore) roundTrip(method, url string, body []byte) (int, []byte, error) {
-	var lastErr error
-	backoff := r.backoff
-	for attempt := 0; attempt <= r.retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
+// transport errors, unreadable bodies and 5xx responses are transient
+// (the flaky-link case the conformance suite injects), anything else
+// returns to the caller for classification.
+func (r *RemoteStore) roundTrip(method, url string, body []byte) (status int, data []byte, err error) {
+	err = r.retry.Retry(context.Background(), func(n int) (bool, time.Duration, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequest(method, url, rd)
 		if err != nil {
-			return 0, nil, err
+			return false, 0, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/octet-stream")
 		}
 		// Attempt number travels with the request (observability on the
 		// peer side; fault injectors key on it in tests).
-		req.Header.Set("X-Ptrack-Attempt", strconv.Itoa(attempt))
+		req.Header.Set("X-Ptrack-Attempt", strconv.Itoa(n))
 		resp, err := r.hc.Do(req)
 		if err != nil {
-			lastErr = err
-			continue
+			return true, 0, err
 		}
-		data, rerr := io.ReadAll(resp.Body)
+		data, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if rerr != nil {
-			lastErr = fmt.Errorf("reading response: %w", rerr)
-			continue
+		if err != nil {
+			return true, 0, fmt.Errorf("reading response: %w", err)
 		}
 		if resp.StatusCode >= 500 {
-			lastErr = errors.New(describe(resp.StatusCode, data))
-			continue
+			return true, 0, errors.New(describe(resp.StatusCode, data))
 		}
-		return resp.StatusCode, data, nil
+		status = resp.StatusCode
+		return false, 0, nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
-	return 0, nil, lastErr
+	return status, data, nil
 }
 
 // envelopeCode extracts the stable error code from an envelope body,

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -60,15 +59,15 @@ func (h *StateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *StateHandler) badMethod(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, http.StatusMethodNotAllowed, wire.CodeBadRequest,
-		fmt.Sprintf("method %s not allowed on the state endpoint", r.Method))
+	wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeBadRequest,
+		fmt.Sprintf("method %s not allowed on the state endpoint", r.Method), 0, -1)
 }
 
 // sessionID recovers the session ID from the path, or writes a 400.
 func (h *StateHandler) sessionID(w http.ResponseWriter, r *http.Request) (string, bool) {
 	raw, err := base64.RawURLEncoding.DecodeString(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "state ID is not URL-safe base64")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "state ID is not URL-safe base64", 0, -1)
 		return "", false
 	}
 	return string(raw), true
@@ -77,15 +76,14 @@ func (h *StateHandler) sessionID(w http.ResponseWriter, r *http.Request) (string
 func (h *StateHandler) list(w http.ResponseWriter, r *http.Request) {
 	ids, err := h.st.List()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "listing snapshots failed")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "listing snapshots failed", 0, -1)
 		return
 	}
 	if ids == nil {
 		ids = []string{}
 	}
 	sort.Strings(ids)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(stateList{Sessions: ids})
+	wire.WriteJSON(w, http.StatusOK, stateList{Sessions: ids})
 }
 
 func (h *StateHandler) load(w http.ResponseWriter, r *http.Request) {
@@ -96,9 +94,9 @@ func (h *StateHandler) load(w http.ResponseWriter, r *http.Request) {
 	blob, err := h.st.Load(id)
 	switch {
 	case errors.Is(err, store.ErrNotFound):
-		writeErr(w, http.StatusNotFound, wire.CodeNotFound, "no snapshot for this session")
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "no snapshot for this session", 0, -1)
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "loading snapshot failed")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "loading snapshot failed", 0, -1)
 	default:
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(blob)
@@ -114,15 +112,15 @@ func (h *StateHandler) save(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge,
-				fmt.Sprintf("snapshot exceeds %d bytes", h.max))
+			wire.WriteError(w, http.StatusRequestEntityTooLarge, wire.CodeBodyTooLarge,
+				fmt.Sprintf("snapshot exceeds %d bytes", h.max), 0, -1)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, wire.CodeBadRequest, "reading snapshot body failed")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "reading snapshot body failed", 0, -1)
 		return
 	}
 	if err := h.st.Save(id, blob); err != nil {
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "saving snapshot failed")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "saving snapshot failed", 0, -1)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -134,15 +132,8 @@ func (h *StateHandler) delete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := h.st.Delete(id); err != nil {
-		writeErr(w, http.StatusInternalServerError, wire.CodeInternal, "deleting snapshot failed")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "deleting snapshot failed", 0, -1)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// writeErr emits the serving layer's JSON error envelope.
-func writeErr(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(wire.ErrorBody{Error: msg, Code: code})
 }

@@ -114,18 +114,15 @@ type Hub struct {
 	janitorStop chan struct{}
 }
 
-// session is one live stream. lastSeen is guarded by the hub lock (Push
-// holds at least RLock; an atomic would allow RLock writers to race on
-// it, but monotonic staleness only needs the latest of any racing Push,
-// which a plain store under RLock provides on all supported platforms —
-// use the mutex-held update for -race cleanliness instead).
+// session is one live stream. lastSeen is the Unix-nanosecond time of
+// its last accepted push, atomic so pushes under the hub's read lock
+// and the janitor's read-locked scan share it without a mutex.
 type session struct {
 	id   string
 	ch   chan trace.Sample
 	done chan struct{}
 
-	lastMu   sync.Mutex
-	lastSeen time.Time
+	lastSeen atomic.Int64
 
 	// traceCtx is the span context of the most recent sampled ingest
 	// request that pushed into this session (nil until one arrives).
@@ -157,20 +154,6 @@ type session struct {
 	restored atomic.Bool
 
 	started time.Time
-}
-
-func (s *session) touch(t time.Time) {
-	s.lastMu.Lock()
-	if t.After(s.lastSeen) {
-		s.lastSeen = t
-	}
-	s.lastMu.Unlock()
-}
-
-func (s *session) seen() time.Time {
-	s.lastMu.Lock()
-	defer s.lastMu.Unlock()
-	return s.lastSeen
 }
 
 // storeCondReport snapshots the tracker's conditioner report for
@@ -272,12 +255,12 @@ func (h *Hub) PushBlock(id string, samples []trace.Sample) (int, error) {
 	return n, err
 }
 
-// enqueueBlock performs the non-blocking queue sends: one touch, then
-// in-order sends until the queue rejects. Callers hold the hub lock
-// (read or write), which is what makes the sends race-free against
-// Close/evict closing the channel: closers hold the write lock.
+// enqueueBlock performs the non-blocking queue sends: one lastSeen
+// store, then in-order sends until the queue rejects. Callers hold the
+// hub lock (read or write), which is what makes the sends race-free
+// against Close/evict closing the channel: closers hold the write lock.
 func (h *Hub) enqueueBlock(sess *session, samples []trace.Sample) (int, error) {
-	sess.touch(h.cfg.now())
+	sess.lastSeen.Store(h.cfg.now().UnixNano())
 	for i, s := range samples {
 		select {
 		case sess.ch <- s:
@@ -292,12 +275,12 @@ func (h *Hub) enqueueBlock(sess *session, samples []trace.Sample) (int, error) {
 // startSessionLocked creates the session and its draining goroutine.
 func (h *Hub) startSessionLocked(id string) *session {
 	sess := &session{
-		id:       id,
-		ch:       make(chan trace.Sample, h.cfg.QueueSize),
-		done:     make(chan struct{}),
-		lastSeen: h.cfg.now(),
-		started:  h.cfg.now(),
+		id:      id,
+		ch:      make(chan trace.Sample, h.cfg.QueueSize),
+		done:    make(chan struct{}),
+		started: h.cfg.now(),
 	}
+	sess.lastSeen.Store(sess.started.UnixNano())
 	h.sessions[id] = sess
 	h.cfg.Hooks.SessionOpened()
 	h.wg.Add(1)
@@ -514,11 +497,26 @@ func (h *Hub) janitor(interval time.Duration) {
 	}
 }
 
+// evictIdle scans under the read lock, so pushes to other sessions
+// proceed during the O(n) pass, and takes the write lock only to remove
+// what it found. A push between the scan and the removal revives its
+// session, so each candidate is re-checked under the write lock.
 func (h *Hub) evictIdle() {
-	deadline := h.cfg.now().Add(-h.cfg.IdleTimeout)
-	h.mu.Lock()
+	deadline := h.cfg.now().Add(-h.cfg.IdleTimeout).UnixNano()
+	var idle []*session
+	h.mu.RLock()
 	for _, s := range h.sessions {
-		if s.seen().Before(deadline) {
+		if s.lastSeen.Load() < deadline {
+			idle = append(idle, s)
+		}
+	}
+	h.mu.RUnlock()
+	if len(idle) == 0 {
+		return
+	}
+	h.mu.Lock()
+	for _, s := range idle {
+		if h.sessions[s.id] == s && s.lastSeen.Load() < deadline {
 			h.removeLocked(s)
 		}
 	}
@@ -644,7 +642,7 @@ func (h *Hub) Stats() []SessionStat {
 			QueueLen:    len(s.ch),
 			QueueCap:    cap(s.ch),
 			AgeSeconds:  now.Sub(s.started).Seconds(),
-			IdleSeconds: now.Sub(s.seen()).Seconds(),
+			IdleSeconds: now.Sub(time.Unix(0, s.lastSeen.Load())).Seconds(),
 			Samples:     s.samplesIn.Load(),
 			Steps:       s.steps.Load(),
 			Events:      s.events.Load(),

@@ -270,10 +270,6 @@ func TestFig9Shape(t *testing.T) {
 	if res.PathError.Mean > 3 {
 		t.Errorf("mean cross-track = %.2f m", res.PathError.Mean)
 	}
-	rows := res.PathAsCSVRows()
-	if len(rows) != len(res.Path)+1 || rows[0] != "t,x,y" {
-		t.Errorf("CSV rows malformed: %d rows", len(rows))
-	}
 }
 
 func TestAdversarialSpoofTiers(t *testing.T) {

@@ -140,14 +140,3 @@ func Fig9Navigation(opt Options) (*Table, *Fig9Result) {
 	}
 	return tbl, res
 }
-
-// PathAsCSVRows renders the dead-reckoned path for plotting, one
-// "t,x,y" row per fix.
-func (r *Fig9Result) PathAsCSVRows() []string {
-	rows := make([]string, 0, len(r.Path)+1)
-	rows = append(rows, "t,x,y")
-	for _, f := range r.Path {
-		rows = append(rows, fmt.Sprintf("%.2f,%.3f,%.3f", f.T, f.Pos.X, f.Pos.Y))
-	}
-	return rows
-}

@@ -75,7 +75,7 @@ var (
 	}
 	httpRejectReasons = []string{
 		"rate_limit", "overload", "body_too_large", "draining",
-		"decode", "backpressure", "shard_unreachable", "other",
+		"decode", "backpressure", "shard_unreachable", "shard_moved", "other",
 	}
 )
 

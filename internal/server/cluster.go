@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
 	"ptrack/internal/cluster"
 	"ptrack/internal/wire"
@@ -15,29 +16,37 @@ import (
 const (
 	// headerForwarded marks a proxied request with the relaying node's
 	// name. Its presence stops a second hop: if two replicas disagree
-	// about ownership mid-ring-change, the request is served where it
-	// lands instead of ping-ponging (or, for an event subscription on a
-	// non-owner, refused; see handleEvents).
+	// about ownership mid-ring-change, the request is refused where it
+	// lands instead of ping-ponging (see routeAway).
 	headerForwarded = "X-Ptrack-Forwarded"
 	// headerShardOwner names the owning replica's base URL on proxied
 	// responses, so clients and operators can see routing.
 	headerShardOwner = "Shard-Owner"
 )
 
-// routeAway checks session ownership and, when the session belongs to
-// another replica, proxies the request there, reporting true so the
-// handler stops. Requests that already crossed one hop stay local — a
-// disagreeing pair of rings must not loop a request forever.
+// routeAway is the ownership rule of every session route: when the
+// session belongs to another replica it proxies the request there, or
+// — when the request was already forwarded here, so the two replicas'
+// rings disagree mid-change — refuses it with 503 shard_moved and
+// Retry-After: 1. A second hop could ping-pong forever, and serving
+// the request here would split one walk across two trackers; the
+// client retries once the rings agree. Reports true when the handler
+// must stop.
 func (s *Server) routeAway(w http.ResponseWriter, r *http.Request, id string) bool {
 	c := s.cfg.Cluster
 	if c == nil {
 		return false
 	}
 	owner, selfOwned := c.Owner(id)
-	if selfOwned || r.Header.Get(headerForwarded) != "" {
+	switch {
+	case selfOwned:
 		return false
+	case r.Header.Get(headerForwarded) != "":
+		s.reject(w, r, http.StatusServiceUnavailable, wire.CodeShardMoved,
+			fmt.Sprintf("session owned by replica %q", owner.Name), time.Second)
+	default:
+		s.proxy(w, r, owner)
 	}
-	s.proxy(w, r, owner)
 	return true
 }
 
@@ -121,7 +130,7 @@ func (s *Server) ringInfo() ringInfo {
 
 func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
 	s.setWriteDeadline(w)
-	writeJSON(w, http.StatusOK, s.ringInfo())
+	wire.WriteJSON(w, http.StatusOK, s.ringInfo())
 }
 
 // handleRingSet installs a new membership on this replica and migrates
@@ -134,14 +143,14 @@ func (s *Server) handleRingSet(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var upd ringUpdate
 	if err := json.NewDecoder(body).Decode(&upd); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error(), 0, -1)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error(), 0, -1)
 		return
 	}
 	if err := s.SetRing(upd.Nodes); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error(), 0, -1)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error(), 0, -1)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.ringInfo())
+	wire.WriteJSON(w, http.StatusOK, s.ringInfo())
 }
 
 // SetRing atomically replaces the cluster membership and migrates

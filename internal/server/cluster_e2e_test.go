@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"ptrack/internal/cluster"
 	"ptrack/internal/obs"
 	"ptrack/internal/server"
+	"ptrack/internal/wire"
 )
 
 // replica is one booted cluster member.
@@ -387,12 +389,13 @@ func TestClusterE2EReplicaKillFailsOver(t *testing.T) {
 	}
 }
 
-// TestClusterE2EForwardedEventsRefusedOnNonOwner pins the ring-disagreement
-// rule for subscriptions: a forwarded GET …/events that lands on a
-// replica whose ring names another owner is refused with 503 +
-// Retry-After and code shard_moved, never parked on a session the
-// replica will not host.
-func TestClusterE2EForwardedEventsRefusedOnNonOwner(t *testing.T) {
+// TestClusterE2EForwardedRefusedOnNonOwner pins the ring-disagreement
+// rule on every session route: a forwarded push, subscription or end
+// that lands on a replica whose ring names another owner is refused
+// with 503 + Retry-After: 1 and code shard_moved, and leaves nothing
+// behind there — no session, no event stream, no snapshot. Serving it
+// would split one walk across two trackers.
+func TestClusterE2EForwardedRefusedOnNonOwner(t *testing.T) {
 	a := startReplica(t, "a", 100, time.Second)
 	b := startReplica(t, "b", 100, time.Second)
 	// a routes by {a, b}; b has not yet learned that it joined.
@@ -403,30 +406,68 @@ func TestClusterE2EForwardedEventsRefusedOnNonOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := sessionOwnedBy(t, a.cl.Ring(), "b")
+	session := a.base + "/v1/sessions/" + id
 
-	// The timeout bounds a regression that parks the stream instead.
+	push := wire.AppendBinaryHeader(nil)
+	for i := 0; i < ptrack.BlockSamples; i++ {
+		var sm ptrack.Sample
+		sm.T, sm.Accel.Z = float64(i)/100, 9.81
+		push = wire.AppendSampleBinary(push, sm)
+	}
+	cases := []struct {
+		name, method, url, contentType string
+		body                           []byte
+	}{
+		{"push", http.MethodPost, session + "/samples", wire.ContentTypeBinary, push},
+		{"events", http.MethodGet, session + "/events", "", nil},
+		{"end", http.MethodDelete, session, "", nil},
+	}
+	// The timeout bounds a regression that parks a stream instead.
 	hc := &http.Client{Timeout: 10 * time.Second}
-	resp, err := hc.Get(a.base + "/v1/sessions/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("forwarded subscription on non-owner: status %d, want 503", resp.StatusCode)
-	}
-	var body struct {
-		Code string `json:"code"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Code != "shard_moved" {
-		t.Errorf("error code = %q, want shard_moved", body.Code)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Errorf("Retry-After = %q, want 1", got)
-	}
-	if n := activeStreams(b); n != 0 {
-		t.Errorf("non-owner holds %v event streams, want 0", n)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest(tc.method, tc.url, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.contentType != "" {
+				req.Header.Set("Content-Type", tc.contentType)
+			}
+			resp, err := hc.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("forwarded %s on non-owner: status %d, want 503", tc.name, resp.StatusCode)
+			}
+			var body wire.ErrorBody
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if body.Code != wire.CodeShardMoved {
+				t.Errorf("error code = %q, want %s", body.Code, wire.CodeShardMoved)
+			}
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Errorf("Retry-After = %q, want 1", got)
+			}
+
+			if n := activeStreams(b); n != 0 {
+				t.Errorf("non-owner holds %v event streams, want 0", n)
+			}
+			rec := httptest.NewRecorder()
+			b.srv.SessionsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/sessions", nil))
+			if strings.Contains(rec.Body.String(), fmt.Sprintf("%q", id)) {
+				t.Errorf("non-owner hosts session %s: %s", id, rec.Body.String())
+			}
+			st, err := http.Get(b.base + "/v1/state/" + base64.RawURLEncoding.EncodeToString([]byte(id)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Body.Close()
+			if st.StatusCode != http.StatusNotFound {
+				t.Errorf("non-owner snapshot lookup: status %d, want 404", st.StatusCode)
+			}
+		})
 	}
 }

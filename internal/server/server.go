@@ -25,14 +25,12 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,7 +137,7 @@ func (c Config) withDefaults() Config {
 		c.Version = buildinfo.String("ptrack-serve")
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(discardHandler{})
+		c.Logger = obs.Discard
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -225,9 +223,9 @@ func New(cfg Config) (*Server, error) {
 	s.hub, s.pool = hub, pool
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/sessions/{id}/samples", s.instrument("samples", s.handleSamples))
-	s.mux.HandleFunc("GET /v1/sessions/{id}/events", s.instrument("events", s.handleEvents))
-	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("end_session", s.handleEndSession))
+	s.mux.HandleFunc("POST /v1/sessions/{id}/samples", s.instrument("samples", s.sessionRoute(true, s.handleSamples)))
+	s.mux.HandleFunc("GET /v1/sessions/{id}/events", s.instrument("events", s.sessionRoute(false, s.handleEvents)))
+	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.instrument("end_session", s.sessionRoute(false, s.handleEndSession)))
 	s.mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /readyz", s.instrument("readyz", s.handleReadyz))
@@ -409,35 +407,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request, status int, reas
 	} else {
 		s.cfg.Logger.Debug("rejected", "path", r.URL.Path, "reason", reason, "status", status)
 	}
-	writeError(w, status, reason, msg, retry, -1)
-}
-
-// writeError answers with the unified error envelope (wire.ErrorBody,
-// documented in docs/SERVING.md): a message, a stable machine-readable
-// code, and — when retry > 0 — a Retry-After header mirrored into the
-// body. accepted >= 0 adds the push-path resume offset; pass -1
-// elsewhere.
-func writeError(w http.ResponseWriter, status int, code, msg string, retry time.Duration, accepted int) {
-	body := wire.ErrorBody{Error: msg, Code: code}
-	if retry > 0 {
-		sec := retrySeconds(retry)
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-		body.RetryAfterS = sec
-	}
-	if accepted >= 0 {
-		body.Accepted = &accepted
-	}
-	writeJSON(w, status, body)
-}
-
-// retrySeconds rounds a wait up to whole seconds (the header's unit),
-// never advertising zero.
-func retrySeconds(d time.Duration) int {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
+	wire.WriteError(w, status, reason, msg, retry, -1)
 }
 
 // clientKey identifies a client for rate limiting: the remote host
@@ -452,20 +422,32 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
+// sessionRoute wraps a per-session handler in the prologue every
+// session route shares: admission (gated routes also take an in-flight
+// slot), the session ID, and the ownership rule (routeAway). h runs
+// only for a valid ID that this replica owns.
+func (s *Server) sessionRoute(gated bool, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, ok := s.admit(w, r, gated)
+		if !ok {
+			return
+		}
+		defer release()
+		id, ok := sessionID(w, r)
+		if !ok || s.routeAway(w, r, id) {
+			return
+		}
+		h(w, r, id)
+	}
+}
+
 func sessionID(w http.ResponseWriter, r *http.Request) (string, bool) {
 	id := r.PathValue("id")
 	if id == "" || len(id) > maxSessionIDLen {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "invalid session id", 0, -1)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "invalid session id", 0, -1)
 		return "", false
 	}
 	return id, true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", wire.ContentTypeJSON)
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // setWriteDeadline arms the per-request write deadline; SSE re-arms per
@@ -524,22 +506,10 @@ func (t *accumTimer) emit(tracer *tracing.Tracer, parent tracing.SpanContext, na
 	span.EndAt(t.first.Add(t.accum))
 }
 
-func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r, true)
-	if !ok {
-		return
-	}
-	defer release()
-	id, ok := sessionID(w, r)
-	if !ok {
-		return
-	}
-	if s.routeAway(w, r, id) {
-		return
-	}
+func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request, id string) {
 	ct := r.Header.Get("Content-Type")
 	if ct != wire.ContentTypeNDJSON && ct != wire.ContentTypeBinary {
-		writeError(w, http.StatusUnsupportedMediaType, wire.CodeBadRequest,
+		wire.WriteError(w, http.StatusUnsupportedMediaType, wire.CodeBadRequest,
 			fmt.Sprintf("Content-Type must be %s or %s", wire.ContentTypeNDJSON, wire.ContentTypeBinary), 0, -1)
 		return
 	}
@@ -600,7 +570,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 				finish(accepted)
 				s.cfg.Hooks.RequestRejected("decode")
 				span.SetStatus(tracing.StatusError, "non-finite sample")
-				writeError(w, http.StatusBadRequest, wire.CodeDecode,
+				wire.WriteError(w, http.StatusBadRequest, wire.CodeDecode,
 					fmt.Sprintf("sample %d: non-finite field (enable conditioning to repair)", idx), 0, accepted)
 				return
 			}
@@ -612,7 +582,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		}
 		if decErr == io.EOF {
 			finish(accepted)
-			writeJSON(w, http.StatusOK, pushResult{Accepted: accepted})
+			wire.WriteJSON(w, http.StatusOK, pushResult{Accepted: accepted})
 			return
 		}
 		if decErr != nil {
@@ -636,7 +606,7 @@ func (s *Server) samplesDecodeError(w http.ResponseWriter, r *http.Request, acce
 	s.cfg.Hooks.RequestRejected("decode")
 	span := tracing.SpanFromContext(r.Context())
 	span.SetStatus(tracing.StatusError, "decode")
-	writeError(w, http.StatusBadRequest, wire.CodeDecode, err.Error(), 0, accepted)
+	wire.WriteError(w, http.StatusBadRequest, wire.CodeDecode, err.Error(), 0, accepted)
 }
 
 // samplesPushError maps hub refusals onto backpressure responses. The
@@ -646,41 +616,18 @@ func (s *Server) samplesPushError(w http.ResponseWriter, r *http.Request, accept
 	switch {
 	case errors.Is(err, ptrack.ErrSessionQueueFull):
 		s.cfg.Hooks.RequestRejected("backpressure")
-		writeError(w, http.StatusTooManyRequests, wire.CodeBackpressure, "session queue full", time.Second, accepted)
+		wire.WriteError(w, http.StatusTooManyRequests, wire.CodeBackpressure, "session queue full", time.Second, accepted)
 	case errors.Is(err, ptrack.ErrHubClosed):
 		s.reject(w, r, http.StatusServiceUnavailable, "draining", "server is draining", time.Second)
 	default:
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error(), 0, accepted)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, err.Error(), 0, accepted)
 	}
 }
 
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r, false)
-	if !ok {
-		return
-	}
-	defer release()
-	id, ok := sessionID(w, r)
-	if !ok {
-		return
-	}
-	if s.routeAway(w, r, id) {
-		return
-	}
-	if c := s.cfg.Cluster; c != nil {
-		if owner, selfOwned := c.Owner(id); !selfOwned {
-			// A forwarded subscription landed on a non-owner: the rings
-			// disagree mid-change. Serving it here would park the stream
-			// on a session this replica will never host, so refuse it and
-			// let the client retry once the rings agree.
-			s.reject(w, r, http.StatusServiceUnavailable, wire.CodeShardMoved,
-				fmt.Sprintf("session owned by replica %q", owner.Name), time.Second)
-			return
-		}
-	}
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, id string) {
 	flusher, canFlush := w.(http.Flusher)
 	if !canFlush {
-		writeError(w, http.StatusInternalServerError, wire.CodeInternal, "response writer cannot stream", 0, -1)
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "response writer cannot stream", 0, -1)
 		return
 	}
 	sub := s.broker.subscribe(id)
@@ -757,19 +704,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleEndSession(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r, false)
-	if !ok {
-		return
-	}
-	defer release()
-	id, ok := sessionID(w, r)
-	if !ok {
-		return
-	}
-	if s.routeAway(w, r, id) {
-		return
-	}
+func (s *Server) handleEndSession(w http.ResponseWriter, r *http.Request, id string) {
 	s.setWriteDeadline(w)
 	// End blocks until the session's trailing events are delivered (and
 	// its subscribers ended); ending an unknown session is a no-op, so
@@ -802,13 +737,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(traces) == 0 {
-		writeError(w, http.StatusBadRequest, wire.CodeBadRequest, "no traces in request", 0, -1)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "no traces in request", 0, -1)
 		return
 	}
 	items, err := s.pool.Process(r.Context(), traces)
 	if err != nil {
 		// Only context failure reaches here; per-trace errors live in items.
-		writeError(w, http.StatusServiceUnavailable, wire.CodeCanceled, err.Error(), 0, -1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeCanceled, err.Error(), 0, -1)
 		return
 	}
 	resp := wire.BatchResponse{Results: make([]wire.BatchResult, len(items))}
@@ -819,7 +754,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i].Result = it.Result
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // readBody reads a whole request body into one buffer sized from its
@@ -835,7 +770,7 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -846,7 +781,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// traffic would otherwise inflate the rejection counters on every
 		// poll of a draining replica.
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, struct {
+		wire.WriteJSON(w, http.StatusServiceUnavailable, struct {
 			Status string `json:"status"`
 			wire.ErrorBody
 		}{
@@ -859,21 +794,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"sessions": s.hub.ActiveSessions(),
 	})
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"version": s.cfg.Version})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"version": s.cfg.Version})
 }
-
-// discardHandler is a slog.Handler that drops everything (slog has no
-// stdlib discard handler until 1.24).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }

@@ -429,20 +429,34 @@ func TestAdmissionGate(t *testing.T) {
 	s.draining.Store(false)
 }
 
+// TestRetrySeconds pins how a refusal advertises its wait: rounded up
+// to whole seconds, never zero, identically in the Retry-After header
+// and the envelope's retry_after_s mirror.
 func TestRetrySeconds(t *testing.T) {
+	s, err := New(Config{SampleRate: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	req := httptest.NewRequest("POST", "/v1/sessions/s/samples", nil)
 	cases := []struct {
 		d    time.Duration
 		want int
 	}{
-		{0, 1},
+		{time.Nanosecond, 1},
 		{time.Millisecond, 1},
 		{time.Second, 1},
 		{1200 * time.Millisecond, 2},
 		{3 * time.Second, 3},
 	}
 	for _, c := range cases {
-		if got := retrySeconds(c.d); got != c.want {
-			t.Errorf("retrySeconds(%v) = %d, want %d", c.d, got, c.want)
+		w := httptest.NewRecorder()
+		s.reject(w, req, 429, "overload", "server at capacity", c.d)
+		if got := w.Header().Get("Retry-After"); got != fmt.Sprint(c.want) {
+			t.Errorf("wait %v: Retry-After = %q, want %d", c.d, got, c.want)
+		}
+		if body := w.Body.String(); !strings.Contains(body, fmt.Sprintf(`"retry_after_s":%d`, c.want)) {
+			t.Errorf("wait %v: envelope %s lacks retry_after_s %d", c.d, body, c.want)
 		}
 	}
 }

@@ -67,31 +67,3 @@ func PrincipalAxis2D(points []Vec3) (axis Vec3, ok bool) {
 	}
 	return Vec3{X: ax, Y: ay}, true
 }
-
-// LinearFit performs an ordinary least-squares fit y = a + b*x and returns
-// the intercept a and slope b. It returns ok=false when fewer than two
-// distinct x values are supplied.
-func LinearFit(xs, ys []float64) (a, b float64, ok bool) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, false
-	}
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	n := float64(len(xs))
-	mx, my := sx/n, sy/n
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, false
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, true
-}

@@ -75,27 +75,3 @@ func TestPrincipalAxis2DSinglePointCluster(t *testing.T) {
 		t.Error("zero-variance cloud should not yield an axis")
 	}
 }
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{1, 3, 5, 7, 9} // y = 1 + 2x
-	a, b, ok := LinearFit(xs, ys)
-	if !ok {
-		t.Fatal("fit failed")
-	}
-	if !almostEq(a, 1, eps) || !almostEq(b, 2, eps) {
-		t.Errorf("fit = (%v, %v), want (1, 2)", a, b)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	if _, _, ok := LinearFit([]float64{1}, []float64{2}); ok {
-		t.Error("single point should not fit")
-	}
-	if _, _, ok := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3}); ok {
-		t.Error("constant x should not fit")
-	}
-	if _, _, ok := LinearFit([]float64{1, 2}, []float64{1}); ok {
-		t.Error("length mismatch should not fit")
-	}
-}

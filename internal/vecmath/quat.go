@@ -56,31 +56,3 @@ func (q Quat) Rotate(v Vec3) Vec3 {
 	t := Vec3{q.X, q.Y, q.Z}.Cross(v).Scale(2)
 	return v.Add(t.Scale(q.W)).Add(Vec3{q.X, q.Y, q.Z}.Cross(t))
 }
-
-// Slerp spherically interpolates between q (t=0) and r (t=1).
-func Slerp(q, r Quat, t float64) Quat {
-	dot := q.W*r.W + q.X*r.X + q.Y*r.Y + q.Z*r.Z
-	if dot < 0 {
-		r = Quat{-r.W, -r.X, -r.Y, -r.Z}
-		dot = -dot
-	}
-	if dot > 0.9995 {
-		// Nearly parallel: fall back to normalised linear interpolation.
-		return Quat{
-			W: q.W + t*(r.W-q.W),
-			X: q.X + t*(r.X-q.X),
-			Y: q.Y + t*(r.Y-q.Y),
-			Z: q.Z + t*(r.Z-q.Z),
-		}.Normalize()
-	}
-	theta := math.Acos(dot)
-	sinTheta := math.Sin(theta)
-	a := math.Sin((1-t)*theta) / sinTheta
-	b := math.Sin(t*theta) / sinTheta
-	return Quat{
-		W: a*q.W + b*r.W,
-		X: a*q.X + b*r.X,
-		Y: a*q.Y + b*r.Y,
-		Z: a*q.Z + b*r.Z,
-	}.Normalize()
-}

@@ -69,31 +69,6 @@ func TestQuatNormalize(t *testing.T) {
 	}
 }
 
-func TestSlerpEndpointsAndMidpoint(t *testing.T) {
-	q0 := IdentityQuat()
-	q1 := AxisAngle(V3(0, 0, 1), math.Pi/2)
-	if got := Slerp(q0, q1, 0); !vecAlmostEq(got.Rotate(V3(1, 0, 0)), V3(1, 0, 0), 1e-9) {
-		t.Error("slerp(0) is not q0")
-	}
-	if got := Slerp(q0, q1, 1); !vecAlmostEq(got.Rotate(V3(1, 0, 0)), V3(0, 1, 0), 1e-9) {
-		t.Error("slerp(1) is not q1")
-	}
-	mid := Slerp(q0, q1, 0.5)
-	want := AxisAngle(V3(0, 0, 1), math.Pi/4)
-	if !vecAlmostEq(mid.Rotate(V3(1, 0, 0)), want.Rotate(V3(1, 0, 0)), 1e-9) {
-		t.Error("slerp(0.5) is not the 45-degree rotation")
-	}
-}
-
-func TestSlerpNearlyParallelPath(t *testing.T) {
-	q0 := AxisAngle(V3(0, 0, 1), 0.0001)
-	q1 := AxisAngle(V3(0, 0, 1), 0.0002)
-	got := Slerp(q0, q1, 0.5)
-	if !almostEq(got.Norm(), 1, 1e-12) {
-		t.Errorf("nlerp fallback not normalised: %v", got.Norm())
-	}
-}
-
 func TestQuatRotatePreservesNormProperty(t *testing.T) {
 	f := func(axis, v Vec3, angle float64) bool {
 		axis, v = clampVec(axis), clampVec(v)

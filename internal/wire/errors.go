@@ -1,5 +1,13 @@
 package wire
 
+import (
+	"encoding/json"
+	"net/http"
+	"strconv"
+	"strings"
+	"time"
+)
+
 // ErrorBody is the unified JSON envelope every non-2xx response of the
 // serving layer carries (documented in docs/SERVING.md). Error is the
 // human-readable message; Code is the stable machine-readable reason —
@@ -52,3 +60,77 @@ const (
 	// CodeInternal: a server-side failure unrelated to the request.
 	CodeInternal = "internal"
 )
+
+// WriteError answers with the error envelope: a message, a stable code,
+// and — when retry > 0 — a Retry-After header in whole seconds mirrored
+// into the body. accepted >= 0 adds the push-path resume offset; pass -1
+// elsewhere.
+func WriteError(w http.ResponseWriter, status int, code, msg string, retry time.Duration, accepted int) {
+	body := ErrorBody{Error: msg, Code: code}
+	if retry > 0 {
+		sec := retrySeconds(retry)
+		w.Header().Set("Retry-After", strconv.Itoa(sec))
+		body.RetryAfterS = sec
+	}
+	if accepted >= 0 {
+		body.Accepted = &accepted
+	}
+	WriteJSON(w, status, body)
+}
+
+// WriteJSON answers with v encoded as a JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", ContentTypeJSON)
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// retrySeconds rounds a wait up to whole seconds (the header's unit),
+// never advertising zero.
+func retrySeconds(d time.Duration) int {
+	sec := int((d + time.Second - 1) / time.Second)
+	if sec < 1 {
+		sec = 1
+	}
+	return sec
+}
+
+// RetryWait reads a refusal's promised wait: the Retry-After header
+// when present, else the envelope's mirrored copy (a proxy may strip
+// the header). now anchors the header's HTTP-date form.
+func RetryWait(h http.Header, body ErrorBody, now time.Time) time.Duration {
+	if d := parseRetryAfter(h, now); d > 0 {
+		return d
+	}
+	if body.RetryAfterS > 0 {
+		return time.Duration(body.RetryAfterS) * time.Second
+	}
+	return 0
+}
+
+// parseRetryAfter reads both RFC 9110 forms of Retry-After: the
+// delta-seconds form WriteError emits ("2") and the HTTP-date form
+// ("Fri, 07 Aug 2026 12:00:00 GMT") that proxies and load balancers in
+// front of the server rewrite or originate. A date at or before now —
+// capacity already returned, or clock skew — clamps to 0 rather than
+// going negative.
+func parseRetryAfter(h http.Header, now time.Time) time.Duration {
+	v := strings.TrimSpace(h.Get("Retry-After"))
+	if v == "" {
+		return 0
+	}
+	if sec, err := strconv.Atoi(v); err == nil {
+		if sec < 0 {
+			return 0
+		}
+		return time.Duration(sec) * time.Second
+	}
+	at, err := http.ParseTime(v)
+	if err != nil {
+		return 0
+	}
+	if d := at.Sub(now); d > 0 {
+		return d
+	}
+	return 0
+}

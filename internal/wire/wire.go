@@ -14,6 +14,10 @@
 //     end-to-end tests demand byte-identical event sequences between
 //     the HTTP path and a directly-fed tracker.
 //   - Batch: the request/response JSON bodies of POST /v1/batch.
+//   - Refusals: the JSON error envelope every non-2xx response carries
+//     (ErrorBody, written by WriteError), the Retry-After wait it
+//     promises (RetryWait), and the one retry loop (Backoff) that the
+//     client and the cluster's remote store both run.
 //
 // Both sample decoders are alloc-free at steady state (enforced by
 // TestDecodeAllocFree and the bench-guard ceilings): they scan a
