@@ -35,9 +35,11 @@ STREAM_FLAT_WITHIN ?= 0.30
 CONDITION_MAX_NS_PER_SAMPLE ?= 150
 CONDITION_MAX_ALLOCS_PER_SAMPLE ?= 0.01
 
-# Serving-layer wire-decode ceilings: NDJSON measured ~1200 ns/sample
-# (hand-rolled in-place scanner), the binary framing ~24 ns/sample; both
-# are alloc-free at steady state (pinned exactly by TestDecodeAllocFree).
+# Serving-layer wire-decode ceilings, timed through NextBlock in
+# 64-sample blocks as the server decodes: NDJSON measured ~1.9 µs/sample
+# on a 2-vCPU VM (hand-rolled in-place scanner), the binary framing
+# ~40 ns/sample; both are alloc-free at steady state (pinned exactly by
+# TestDecodeAllocFree).
 WIRE_NDJSON_MAX_NS_PER_SAMPLE ?= 2500
 WIRE_BINARY_MAX_NS_PER_SAMPLE ?= 120
 WIRE_MAX_ALLOCS_PER_SAMPLE ?= 0.01

@@ -230,32 +230,37 @@ func (c *Client) Session(id string) *Session {
 	return &Session{c: c, id: id}
 }
 
-// Push buffers samples, streaming full batches to the server. An error
-// leaves unsent samples pending, so a later Push or Flush retries them.
+// Push buffers samples, streaming full batches to the server. After an
+// error exactly the samples the server has not accepted stay pending,
+// so a later Push or Flush sends those and none it already took.
 func (s *Session) Push(ctx context.Context, samples ...ptrack.Sample) error {
 	if s.ended {
 		return errors.New("client: session ended")
 	}
 	s.pending = append(s.pending, samples...)
 	for len(s.pending) >= s.c.batch {
-		if err := s.send(ctx, s.pending[:s.c.batch]); err != nil {
+		if err := s.sendPending(ctx, s.c.batch); err != nil {
 			return err
 		}
-		s.pending = s.pending[:copy(s.pending, s.pending[s.c.batch:])]
 	}
 	return nil
 }
 
-// Flush pushes all pending samples to the server.
+// Flush pushes all pending samples to the server; on error the samples
+// the server has not accepted stay pending, as with Push.
 func (s *Session) Flush(ctx context.Context) error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	if err := s.send(ctx, s.pending); err != nil {
-		return err
-	}
-	s.pending = s.pending[:0]
-	return nil
+	return s.sendPending(ctx, len(s.pending))
+}
+
+// sendPending sends the first n pending samples and drops from pending
+// the prefix the server accepted, all n unless it refused.
+func (s *Session) sendPending(ctx context.Context, n int) error {
+	accepted, err := s.send(ctx, s.pending[:n])
+	s.pending = s.pending[:copy(s.pending, s.pending[accepted:])]
+	return err
 }
 
 // End flushes pending samples and ends the server-side session,
@@ -294,10 +299,13 @@ func (s *Session) End(ctx context.Context) error {
 
 // send delivers one batch, resuming from the server's accepted count on
 // partial pushes (429 backpressure) and backing off per the retry
-// policy. batch stays intact on error. With a tracer attached the whole
-// delivery (including retries) runs under one client.push span whose
-// identity every attempt propagates in its traceparent header.
-func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (err error) {
+// policy. It returns how many of batch's samples the server accepted:
+// all of them once it answers 200, otherwise the prefix that the
+// refusals' accepted counts cover (a terminal 400 carries one too).
+// With a tracer attached the whole delivery (including retries) runs
+// under one client.push span whose identity every attempt propagates
+// in its traceparent header.
+func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (sent int, err error) {
 	ctx, span := s.c.tracer.Start(ctx, "client.push")
 	span.SetKind(tracing.KindClient)
 	span.SetAttributes(
@@ -315,8 +323,7 @@ func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (err error) {
 		ct = wire.ContentTypeBinary
 	}
 	u := fmt.Sprintf("%s/v1/sessions/%s/samples", s.c.base, url.PathEscape(s.id))
-	sent := 0
-	return s.c.retry.Retry(ctx, func(n int) (bool, time.Duration, error) {
+	err = s.c.retry.Retry(ctx, func(n int) (bool, time.Duration, error) {
 		s.buf = s.buf[:0]
 		if s.c.binary {
 			s.buf = wire.AppendBinaryHeader(s.buf)
@@ -342,21 +349,22 @@ func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (err error) {
 		// One decode serves every outcome: a success body carries only
 		// accepted, a refusal the full envelope.
 		eb, decErr := readEnvelope(resp.Body)
+		if decErr == nil && eb.Accepted != nil {
+			sent = min(sent+*eb.Accepted, len(batch)) // resume after what the server took
+		}
 		wait := wire.RetryWait(resp.Header, eb, s.c.now())
 		s.c.observe(Attempt{Op: "push", Status: resp.StatusCode, Start: start,
 			Duration: s.c.now().Sub(start), Retries: n, RetryAfter: wait})
 
 		switch {
 		case resp.StatusCode == http.StatusOK:
+			sent = len(batch)
 			if decErr != nil {
 				return false, 0, fmt.Errorf("client: push response: %w", decErr)
 			}
 			return false, 0, nil
 		case retryable(resp.StatusCode):
-			if decErr == nil && eb.Accepted != nil {
-				sent += *eb.Accepted // resume after what the server took
-			}
-			if sent >= len(batch) {
+			if sent == len(batch) {
 				return false, 0, nil
 			}
 			return true, wait, refused(resp.StatusCode, eb)
@@ -364,6 +372,7 @@ func (s *Session) send(ctx context.Context, batch []ptrack.Sample) (err error) {
 			return false, 0, &StatusError{Status: resp.StatusCode, Code: eb.Code, Msg: eb.Error}
 		}
 	})
+	return sent, err
 }
 
 // --- events ----------------------------------------------------------

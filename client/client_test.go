@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -202,6 +203,44 @@ func TestAttemptHookSeesRefusals(t *testing.T) {
 	}
 	if attempts[1].Status != http.StatusOK || attempts[1].Retries != 1 {
 		t.Errorf("second attempt = %+v, want 200 at retry 1", attempts[1])
+	}
+}
+
+// TestPushGiveUpKeepsOnlyUnaccepted pins that a push which gives up
+// after partial acceptance leaves pending only the samples the server
+// has not taken: every push is answered 429 with 100 accepted, so a
+// 256-sample Push gives up after two attempts took 200, and the
+// following Flush sends the remaining 56 and no sample twice.
+func TestPushGiveUpKeepsOnlyUnaccepted(t *testing.T) {
+	var mu sync.Mutex
+	var sizes []int
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		sizes = append(sizes, bytes.Count(body, []byte("\n")))
+		mu.Unlock()
+		w.Header().Set("Content-Type", wire.ContentTypeJSON)
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(`{"error":"session queue full","code":"backpressure","accepted":100}`))
+	}))
+	defer srv.Close()
+
+	c, err := Dial(srv.URL, WithRetry(1, time.Millisecond, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := c.Session("s")
+	if err := sess.Push(context.Background(), make([]ptrack.Sample, 256)...); !errors.Is(err, ErrGiveUp) {
+		t.Fatalf("Push = %v, want ErrGiveUp", err)
+	}
+	flushErr := sess.Flush(context.Background())
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{256, 156, 56}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("request sizes = %v, want %v", sizes, want)
+	}
+	if flushErr != nil {
+		t.Fatalf("Flush = %v", flushErr)
 	}
 }
 

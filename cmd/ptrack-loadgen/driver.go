@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -263,8 +264,9 @@ func (d *driver) runSession(ctx context.Context, c *client.Client, cfg cell, i i
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			// Push keeps undelivered samples pending client-side; they
-			// count as accepted only once a later Push flushes them.
+			// Push keeps the samples the server refused pending
+			// client-side; they count as accepted only once a later
+			// Push or End delivers them.
 			d.failed.Add(1)
 			backlog += int64(cfg.Batch)
 			continue
@@ -279,7 +281,7 @@ func (d *driver) runSession(ctx context.Context, c *client.Client, cfg cell, i i
 
 	endCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := sess.End(endCtx); err != nil {
+	if err := endSession(endCtx, sess); err != nil {
 		return fmt.Errorf("end %s: %w", sid, err)
 	}
 	d.accepted.Add(backlog) // End's flush delivered the leftovers
@@ -290,6 +292,25 @@ func (d *driver) runSession(ctx context.Context, c *client.Client, cfg cell, i i
 		<-esDone
 	}
 	return nil
+}
+
+// endSession ends sess, flushing what refused pushes left pending.
+// That flush is not a measured push: with the per-push retry budget at
+// 0 a loaded server's backpressure refuses it routinely, so a refusal
+// waits briefly and tries again until ctx ends. The client keeps
+// exactly the refused samples pending, so no sample is sent twice.
+func endSession(ctx context.Context, sess *client.Session) error {
+	for {
+		err := sess.End(ctx)
+		if err == nil || !errors.Is(err, client.ErrGiveUp) {
+			return err
+		}
+		select {
+		case <-time.After(10 * time.Millisecond):
+		case <-ctx.Done():
+			return err
+		}
+	}
 }
 
 // sources simulates the cell's replay material: a small pool of gait

@@ -178,8 +178,8 @@ func TestSimulateMixedScriptSpans(t *testing.T) {
 	if got := len(rec.Truth.Activities); got != 3 {
 		t.Fatalf("spans = %d", got)
 	}
-	if rec.Truth.ActivityAt(12) != trace.ActivityEating {
-		t.Errorf("activity at 12s = %v", rec.Truth.ActivityAt(12))
+	if span := rec.Truth.Activities[1]; span.Start > 12 || span.End <= 12 || span.Activity != trace.ActivityEating {
+		t.Errorf("span covering 12s = %+v, want eating", span)
 	}
 	// Steps only from the two pedestrian segments: 18 + 18.
 	if got := rec.Truth.StepCount(); got != 36 {

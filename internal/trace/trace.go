@@ -126,33 +126,6 @@ func (tr *Trace) Duration() time.Duration {
 	return time.Duration(tr.Samples[len(tr.Samples)-1].T * float64(time.Second))
 }
 
-// Append appends the samples of other to tr, shifting their timestamps to
-// continue after tr's last sample. Sample rates must match.
-func (tr *Trace) Append(other *Trace) error {
-	if other == nil || len(other.Samples) == 0 {
-		return nil
-	}
-	if len(tr.Samples) == 0 {
-		tr.SampleRate = other.SampleRate
-		tr.Samples = append(tr.Samples, other.Samples...)
-		tr.Label = other.Label
-		return nil
-	}
-	if tr.SampleRate != other.SampleRate {
-		return fmt.Errorf("trace: sample-rate mismatch %v vs %v", tr.SampleRate, other.SampleRate)
-	}
-	offset := tr.Samples[len(tr.Samples)-1].T + tr.Dt()
-	base := other.Samples[0].T
-	for _, s := range other.Samples {
-		s.T = s.T - base + offset
-		tr.Samples = append(tr.Samples, s)
-	}
-	if tr.Label != other.Label {
-		tr.Label = ActivityUnknown
-	}
-	return nil
-}
-
 // AccelSeries returns the acceleration components as three parallel slices
 // (copies; the caller may mutate them freely).
 func (tr *Trace) AccelSeries() (x, y, z []float64) {
@@ -246,17 +219,6 @@ type LabeledSpan struct {
 
 // StepCount returns the number of true steps.
 func (g *GroundTruth) StepCount() int { return len(g.Steps) }
-
-// ActivityAt returns the labeled activity covering time t, or
-// ActivityUnknown when no span covers it.
-func (g *GroundTruth) ActivityAt(t float64) Activity {
-	for _, s := range g.Activities {
-		if t >= s.Start && t < s.End {
-			return s.Activity
-		}
-	}
-	return ActivityUnknown
-}
 
 // Recording bundles a sensor trace with its ground truth, the unit the
 // simulator hands to experiments.

@@ -83,59 +83,6 @@ func TestTraceDtDuration(t *testing.T) {
 	}
 }
 
-func TestTraceAppend(t *testing.T) {
-	a := makeTrace(100, 10, ActivityWalking)
-	b := makeTrace(100, 5, ActivityWalking)
-	if err := a.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Samples) != 15 {
-		t.Fatalf("len = %d", len(a.Samples))
-	}
-	// Timestamps must be strictly increasing across the seam.
-	for i := 1; i < len(a.Samples); i++ {
-		if a.Samples[i].T <= a.Samples[i-1].T {
-			t.Fatalf("non-monotone T at %d: %v <= %v", i, a.Samples[i].T, a.Samples[i-1].T)
-		}
-	}
-	if a.Label != ActivityWalking {
-		t.Errorf("label = %v", a.Label)
-	}
-}
-
-func TestTraceAppendMixedLabels(t *testing.T) {
-	a := makeTrace(100, 10, ActivityWalking)
-	b := makeTrace(100, 10, ActivityEating)
-	if err := a.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Label != ActivityUnknown {
-		t.Errorf("mixed label = %v, want unknown", a.Label)
-	}
-}
-
-func TestTraceAppendRateMismatch(t *testing.T) {
-	a := makeTrace(100, 10, ActivityWalking)
-	b := makeTrace(50, 10, ActivityWalking)
-	if err := a.Append(b); err == nil {
-		t.Error("expected rate-mismatch error")
-	}
-}
-
-func TestTraceAppendIntoEmpty(t *testing.T) {
-	var a Trace
-	b := makeTrace(100, 5, ActivityJogging)
-	if err := a.Append(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.SampleRate != 100 || len(a.Samples) != 5 || a.Label != ActivityJogging {
-		t.Errorf("append into empty: %+v", a)
-	}
-	if err := a.Append(nil); err != nil {
-		t.Errorf("append nil: %v", err)
-	}
-}
-
 func TestAccelSeriesCopies(t *testing.T) {
 	tr := makeTrace(100, 3, ActivityWalking)
 	x, y, z := tr.AccelSeries()
@@ -145,32 +92,6 @@ func TestAccelSeriesCopies(t *testing.T) {
 	x[0] = 999
 	if tr.Samples[0].Accel.X == 999 {
 		t.Error("AccelSeries aliases trace storage")
-	}
-}
-
-func TestGroundTruthActivityAt(t *testing.T) {
-	g := &GroundTruth{
-		Activities: []LabeledSpan{
-			{Start: 0, End: 10, Activity: ActivityWalking},
-			{Start: 10, End: 20, Activity: ActivityEating},
-		},
-	}
-	tests := []struct {
-		t    float64
-		want Activity
-	}{
-		{0, ActivityWalking},
-		{9.99, ActivityWalking},
-		{10, ActivityEating},
-		{25, ActivityUnknown},
-	}
-	for _, tt := range tests {
-		if got := g.ActivityAt(tt.t); got != tt.want {
-			t.Errorf("ActivityAt(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-	if g.StepCount() != 0 {
-		t.Error("step count should be 0")
 	}
 }
 

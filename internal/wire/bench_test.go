@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ptrack/internal/gaitsim"
+	"ptrack/internal/stream"
 	"ptrack/internal/trace"
 )
 
@@ -14,8 +15,9 @@ import (
 // cmd/benchjson: ingest decode must hold its ns/sample ceiling and stay
 // alloc-free at steady state (allocs/op stays O(1) per pass while
 // samples/op is in the thousands, so allocs-per-sample rounds to ~0).
-// The payload is a real simulated walking trace — full-precision floats,
-// the worst case for the text format.
+// They drive NextBlock in blocks of stream.BlockSamples, as the server
+// does. The payload is a real simulated walking trace — full-precision
+// floats, the worst case for the text format.
 
 func benchTrace(b *testing.B) *trace.Trace {
 	b.Helper()
@@ -42,25 +44,36 @@ func benchDecode(b *testing.B, contentType string) {
 	}
 	r := bytes.NewReader(buf)
 	d := NewDecoder(r, contentType)
+	block := make([]trace.Sample, 0, stream.BlockSamples)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset(buf)
-		d.r, d.start, d.end, d.eof, d.magic = r, 0, 0, false, false
-		d.buf = d.buf[:0]
-		for {
-			if _, err := d.Next(); err != nil {
-				if err != io.EOF {
-					b.Fatal(err)
-				}
-				break
-			}
+		if err := decodePass(d, r, buf, block, stream.BlockSamples); err != nil {
+			b.Fatal(err)
 		}
 	}
 	samples := len(tr.Samples)
 	b.ReportMetric(float64(samples), "samples/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+// decodePass rewinds d onto a fresh read of buf and drains it through
+// NextBlock max samples at a time into block, the way the server
+// decodes a push.
+func decodePass(d *Decoder, r *bytes.Reader, buf []byte, block []trace.Sample, max int) error {
+	r.Reset(buf)
+	d.r, d.start, d.end, d.eof, d.magic = r, 0, 0, false, false
+	d.buf = d.buf[:0]
+	for {
+		var err error
+		if block, err = d.NextBlock(block, max); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
 }
 
 func BenchmarkDecodeNDJSON(b *testing.B) { benchDecode(b, ContentTypeNDJSON) }

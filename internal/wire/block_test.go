@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,30 +10,11 @@ import (
 	"ptrack/internal/trace"
 )
 
-// decodeAllBlocks drains a decoder through NextBlock with the given
-// block size, reusing one destination buffer the way the server does.
-func decodeAllBlocks(t *testing.T, buf []byte, contentType string, max int) []trace.Sample {
-	t.Helper()
-	d := NewDecoder(bytes.NewReader(buf), contentType)
-	var out []trace.Sample
-	var block []trace.Sample
-	for {
-		var err error
-		block, err = d.NextBlock(block, max)
-		out = append(out, block...)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("decode sample %d: %v", len(out), err)
-		}
-	}
-}
-
-// TestNextBlockMatchesNext pins block/per-sample equivalence for both
-// formats across block sizes that divide, straddle and exceed the
-// payload, including a one-byte-per-read reader that defeats the bulk
-// buffered path.
+// TestNextBlockMatchesNext pins block-size invariance: the block size
+// changes only how samples are grouped, never which samples arrive.
+// Reading the next sample alone (max=1) is the reference for block
+// sizes that divide, straddle and exceed the payload, and for a
+// one-byte-per-read reader that ends every block on a refill boundary.
 func TestNextBlockMatchesNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var want []trace.Sample
@@ -53,28 +33,20 @@ func TestNextBlockMatchesNext(t *testing.T) {
 		{"ndjson", ContentTypeNDJSON, nd},
 		{"binary", ContentTypeBinary, bin},
 	} {
-		for _, max := range []int{1, 3, 64, 300, 1000} {
-			got := decodeAllBlocks(t, tc.buf, tc.ct, max)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/max=%d: block decode diverges from Next", tc.name, max)
+		one, err := drain(NewDecoder(bytes.NewReader(tc.buf), tc.ct), 1)
+		if err != nil || !reflect.DeepEqual(one, want) {
+			t.Fatalf("%s/max=1: %d samples, err %v; want the %d encoded", tc.name, len(one), err, len(want))
+		}
+		for _, max := range []int{3, 64, 300, 1000} {
+			got, err := drain(NewDecoder(bytes.NewReader(tc.buf), tc.ct), max)
+			if err != nil || !reflect.DeepEqual(got, one) {
+				t.Fatalf("%s/max=%d: block decode diverges from max=1 (err %v)", tc.name, max, err)
 			}
 		}
-		// One byte per read: every block ends on a refill boundary.
 		d := NewDecoder(iotest{r: bytes.NewReader(tc.buf)}, tc.ct)
-		var got, block []trace.Sample
-		for {
-			var err error
-			block, err = d.NextBlock(block, 64)
-			got = append(got, block...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: one-byte-read block decode diverges", tc.name)
+		got, err := drain(d, 64)
+		if err != nil || !reflect.DeepEqual(got, one) {
+			t.Fatalf("%s: one-byte-read block decode diverges (err %v)", tc.name, err)
 		}
 		if d.Decoded() != len(want) {
 			t.Fatalf("%s: Decoded() = %d, want %d", tc.name, d.Decoded(), len(want))
@@ -102,9 +74,9 @@ func TestNextBlockPartialOnError(t *testing.T) {
 	}
 }
 
-// TestNextBlockAllocFree extends the steady-state no-alloc bar to the
-// block path: with a warmed destination buffer, a full decode pass
-// through NextBlock allocates nothing.
+// TestNextBlockAllocFree extends the no-alloc bar of TestDecodeAllocFree
+// to block sizes other than the server's: one sample per call, a size
+// that straddles refills, and one larger than the whole payload.
 func TestNextBlockAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	nd := []byte(nil)
@@ -122,26 +94,18 @@ func TestNextBlockAllocFree(t *testing.T) {
 		{"binary", ContentTypeBinary, bin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := bytes.NewReader(tc.buf)
-			d := NewDecoder(r, tc.ct)
-			block := make([]trace.Sample, 0, 64)
-			allocs := testing.AllocsPerRun(50, func() {
-				r.Reset(tc.buf)
-				d.r, d.start, d.end, d.eof, d.magic = r, 0, 0, false, false
-				d.buf = d.buf[:0]
-				for {
-					var err error
-					block, err = d.NextBlock(block, 64)
-					if err != nil {
-						if err != io.EOF {
-							t.Fatal(err)
-						}
-						break
+			for _, max := range []int{1, 3, 1000} {
+				r := bytes.NewReader(tc.buf)
+				d := NewDecoder(r, tc.ct)
+				block := make([]trace.Sample, 0, max)
+				allocs := testing.AllocsPerRun(50, func() {
+					if err := decodePass(d, r, tc.buf, block, max); err != nil {
+						t.Fatal(err)
 					}
+				})
+				if allocs > 0 {
+					t.Fatalf("max=%d: block decode allocated %.1f times per pass, want 0", max, allocs)
 				}
-			})
-			if allocs > 0 {
-				t.Fatalf("block decode allocated %.1f times per pass, want 0", allocs)
 			}
 		})
 	}

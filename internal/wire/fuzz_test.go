@@ -2,21 +2,21 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ptrack/internal/stream"
 	"ptrack/internal/trace"
 	"ptrack/internal/vecmath"
 )
 
-// FuzzDecodeSamples feeds arbitrary input to both sample decoders
-// (mirroring FuzzReadCSVLenient for the CSV path): they must never
-// panic or loop, and anything the NDJSON decoder accepts must
-// round-trip bit-identically through AppendSample. The first seed byte
-// selects the format so one corpus exercises both.
+// FuzzDecodeSamples feeds arbitrary input to the sample decoder in both
+// formats, drained through NextBlock (mirroring FuzzReadCSVLenient for
+// the CSV path): it must never panic or loop, and anything it accepts
+// must round-trip bit-identically through the canonical encoding. The
+// first seed byte selects the format so one corpus exercises both.
 func FuzzDecodeSamples(f *testing.F) {
 	sample := trace.Sample{
 		T: 0.01, Accel: vecmath.Vec3{X: 1.25, Y: -9.81, Z: 0.5},
@@ -52,20 +52,12 @@ func FuzzDecodeSamples(f *testing.F) {
 			ct = ContentTypeBinary
 		}
 		body := in[1:]
-		d := NewDecoder(bytes.NewReader(body), ct)
-		var decoded []trace.Sample
-		for {
-			s, err := d.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return // rejected cleanly; nothing more to check
-			}
-			decoded = append(decoded, s)
-			if len(decoded) > len(body) {
-				t.Fatalf("decoder produced more samples (%d) than input bytes (%d)", len(decoded), len(body))
-			}
+		decoded, err := drain(NewDecoder(bytes.NewReader(body), ct), stream.BlockSamples)
+		if len(decoded) > len(body) {
+			t.Fatalf("decoder produced more samples (%d) than input bytes (%d)", len(decoded), len(body))
+		}
+		if err != nil {
+			return // rejected cleanly; nothing more to check
 		}
 		// Accepted input must round-trip through the canonical encoding.
 		var buf []byte
@@ -79,14 +71,13 @@ func FuzzDecodeSamples(f *testing.F) {
 				buf = AppendSample(buf, s)
 			}
 		}
-		back := NewDecoder(bytes.NewReader(buf), ct)
+		back, err := drain(NewDecoder(bytes.NewReader(buf), ct), stream.BlockSamples)
+		if err != nil || len(back) != len(decoded) {
+			t.Fatalf("re-decoding %d accepted samples: %d back, err %v", len(decoded), len(back), err)
+		}
 		for i, want := range decoded {
-			got, err := back.Next()
-			if err != nil {
-				t.Fatalf("re-decoding accepted sample %d: %v", i, err)
-			}
-			if !sameSample(got, want) {
-				t.Fatalf("sample %d round trip mismatch:\n got %+v\nwant %+v", i, got, want)
+			if !sameSample(back[i], want) {
+				t.Fatalf("sample %d round trip mismatch:\n got %+v\nwant %+v", i, back[i], want)
 			}
 		}
 	})

@@ -19,9 +19,12 @@
 //     promises (RetryWait), and the one retry loop (Backoff) that the
 //     client and the cluster's remote store both run.
 //
-// Both sample decoders are alloc-free at steady state (enforced by
-// TestDecodeAllocFree and the bench-guard ceilings): they scan a
-// reusable buffer and parse numbers without constructing intermediate
+// One Decoder reads both sample formats through one read loop,
+// NextBlock, and the JSON the server decodes (NDJSON sample lines and
+// /v1/batch bodies) follows one grammar, so both refuse the same
+// things. Decoding is alloc-free at steady state (enforced by
+// TestDecodeAllocFree and the bench-guard ceilings): it scans a
+// reusable buffer and parses numbers without constructing intermediate
 // strings. Floats round-trip exactly — encoders use strconv's shortest
 // form and decoders parse with strconv semantics — so a trace survives
 // the wire bit-identical.
@@ -36,7 +39,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"unsafe"
 
 	"ptrack/internal/gaitid"
 	"ptrack/internal/stream"
@@ -70,7 +72,8 @@ const MaxLineLen = 4096
 // test with errors.Is.
 var (
 	// ErrFormat reports malformed input: bad JSON framing, an unknown
-	// field, a truncated binary frame, or a missing stream magic.
+	// or duplicate key, a null value, a truncated binary frame, or a
+	// missing stream magic.
 	ErrFormat = errors.New("wire: malformed sample stream")
 	// ErrLineTooLong reports an NDJSON line exceeding MaxLineLen.
 	ErrLineTooLong = errors.New("wire: line exceeds maximum length")
@@ -78,7 +81,7 @@ var (
 
 // AppendSample appends the NDJSON encoding of s (one object plus
 // newline) to dst and returns the extended slice. Floats use the
-// shortest exact representation, so DecodeSample returns s bit-identical.
+// shortest exact representation, so the Decoder returns s bit-identical.
 func AppendSample(dst []byte, s trace.Sample) []byte {
 	dst = append(dst, `{"t":`...)
 	dst = strconv.AppendFloat(dst, s.T, 'g', -1, 64)
@@ -117,8 +120,8 @@ func AppendBinaryHeader(dst []byte) []byte { return append(dst, BinaryMagic...) 
 
 // Decoder reads samples from an NDJSON or binary request body. It
 // amortises reads through one internal buffer and parses in place, so
-// Next allocates nothing at steady state. Construct with NewDecoder and
-// call Next until io.EOF.
+// NextBlock allocates nothing at steady state. Construct with
+// NewDecoder and call NextBlock until it returns an error.
 type Decoder struct {
 	r       io.Reader
 	binary  bool
@@ -154,52 +157,115 @@ func NewDecoder(r io.Reader, contentType string) *Decoder {
 	}
 }
 
-// Next decodes one sample. It returns io.EOF at a clean end of stream
-// and an error wrapping ErrFormat or ErrLineTooLong on malformed input.
-// A reader failure (e.g. http.MaxBytesReader's cap) is returned as-is
-// once the buffered input runs dry, so callers can classify it — a
-// truncated trailing record is attributed to the read failure, not to
-// the format.
-func (d *Decoder) Next() (trace.Sample, error) {
-	if d.binary {
-		return d.nextBinary()
-	}
-	return d.nextLine()
-}
-
 // Decoded returns how many samples the decoder has returned so far.
 func (d *Decoder) Decoded() int { return d.n }
 
 // NextBlock decodes up to max samples into dst (reusing its capacity)
-// and returns the decoded prefix. Unlike Next it can return samples AND
-// an error: the samples decoded before the stream ended or broke, with
-// io.EOF, a format error or a reader failure describing why it stopped
-// short — callers must consume the returned samples before acting on
-// the error. On the binary format, frames already buffered are decoded
-// in one pass without per-sample call overhead, which is what feeds the
-// tracker's PushBlock at full width from a 64-frame wire payload.
+// and returns the decoded prefix. It can return samples AND an error:
+// the samples decoded before the stream ended or broke, with io.EOF at
+// a clean end, an error wrapping ErrFormat or ErrLineTooLong on
+// malformed input, or a reader failure (e.g. http.MaxBytesReader's
+// cap) as-is — a truncated trailing record is attributed to the read
+// failure, not to the format. Callers must consume the returned samples
+// before acting on the error. Blank NDJSON lines are skipped, and a
+// final line without its newline is accepted.
 func (d *Decoder) NextBlock(dst []trace.Sample, max int) ([]trace.Sample, error) {
 	dst = dst[:0]
-	for len(dst) < max {
-		if d.binary && d.magic {
-			// Bulk fast path: every whole frame already buffered.
-			for d.end-d.start >= BinaryFrameSize && len(dst) < max {
-				dst = append(dst, decodeFrame(d.buf[d.start:d.start+BinaryFrameSize]))
-				d.start += BinaryFrameSize
-				d.n++
-			}
-			if len(dst) >= max {
-				return dst, nil
-			}
+	for {
+		// Decode every whole record already buffered.
+		var err error
+		if d.binary {
+			dst, err = d.frames(dst, max)
+		} else {
+			dst, err = d.lines(dst, max)
 		}
-		// Slow path: magic, refill and truncation handling.
-		s, err := d.Next()
-		if err != nil {
+		if err != nil || len(dst) >= max {
 			return dst, err
 		}
-		dst = append(dst, s)
+		if d.fill() {
+			continue
+		}
+		// The input ended.
+		rest := d.buf[d.start:d.end]
+		switch {
+		case d.readErr != nil:
+			return dst, d.readErr
+		case !d.binary:
+			d.start = d.end
+			if dst, err = d.appendLine(dst, rest); err != nil {
+				return dst, err
+			}
+			return dst, io.EOF
+		case len(rest) == 0:
+			return dst, io.EOF
+		case !d.magic:
+			return dst, fmt.Errorf("%w: truncated stream magic", ErrFormat)
+		default:
+			return dst, fmt.Errorf("%w: truncated frame after sample %d (%d trailing bytes)",
+				ErrFormat, d.n, len(rest))
+		}
+	}
+}
+
+// frames consumes the binary stream magic, once, then decodes every
+// whole buffered frame onto dst, up to max samples.
+func (d *Decoder) frames(dst []trace.Sample, max int) ([]trace.Sample, error) {
+	if !d.magic {
+		if d.end-d.start < len(BinaryMagic) {
+			return dst, nil
+		}
+		if string(d.buf[d.start:d.start+len(BinaryMagic)]) != BinaryMagic {
+			return dst, fmt.Errorf("%w: missing %q stream magic", ErrFormat, BinaryMagic)
+		}
+		d.start += len(BinaryMagic)
+		d.magic = true
+	}
+	start := d.start // a local offset keeps the loop free of stores to d
+	for d.end-start >= BinaryFrameSize && len(dst) < max {
+		dst = append(dst, decodeFrame(d.buf[start:start+BinaryFrameSize]))
+		start += BinaryFrameSize
+	}
+	d.n += (start - d.start) / BinaryFrameSize
+	d.start = start
+	return dst, nil
+}
+
+// lines decodes every complete buffered NDJSON line onto dst, up to max
+// samples.
+func (d *Decoder) lines(dst []trace.Sample, max int) ([]trace.Sample, error) {
+	for len(dst) < max {
+		i := bytes.IndexByte(d.buf[d.start:d.end], '\n')
+		if i < 0 {
+			if d.end-d.start > MaxLineLen {
+				return dst, fmt.Errorf("sample %d: %w (%d bytes)", d.n, ErrLineTooLong, d.end-d.start)
+			}
+			return dst, nil
+		}
+		line := d.buf[d.start : d.start+i]
+		d.start += i + 1
+		var err error
+		if dst, err = d.appendLine(dst, line); err != nil {
+			return dst, err
+		}
 	}
 	return dst, nil
+}
+
+// appendLine decodes one NDJSON line onto dst; a blank line adds
+// nothing.
+func (d *Decoder) appendLine(dst []trace.Sample, line []byte) ([]trace.Sample, error) {
+	if blank := (cursor{b: line}); blank.skip() == 0 {
+		return dst, nil
+	}
+	if len(line) > MaxLineLen {
+		return dst, fmt.Errorf("sample %d: %w (%d bytes)", d.n, ErrLineTooLong, len(line))
+	}
+	s, err := parseSampleLine(line)
+	if err != nil {
+		return dst, fmt.Errorf("sample %d: %w", d.n, err)
+	}
+	d.n++
+	return append(dst, s), nil
 }
 
 // fill reads more input, compacting the buffer so the unconsumed tail
@@ -214,9 +280,9 @@ func (d *Decoder) fill() bool {
 		d.buf = d.buf[:d.end]
 	}
 	if d.end == cap(d.buf) {
-		// Buffer full without a complete record: only possible for
-		// NDJSON lines beyond MaxLineLen (capacity is 2*MaxLineLen);
-		// the caller turns this into ErrLineTooLong.
+		// Buffer full without a complete record: unreachable, since
+		// lines refuses a pending line beyond MaxLineLen (capacity is
+		// 2*MaxLineLen) and frames drains whole frames first.
 		return false
 	}
 	n, err := d.r.Read(d.buf[d.end:cap(d.buf)])
@@ -231,43 +297,6 @@ func (d *Decoder) fill() bool {
 	return n > 0
 }
 
-func (d *Decoder) nextBinary() (trace.Sample, error) {
-	if !d.magic {
-		for d.end-d.start < len(BinaryMagic) {
-			if !d.fill() {
-				if d.readErr != nil {
-					return trace.Sample{}, d.readErr
-				}
-				if d.end == d.start {
-					return trace.Sample{}, io.EOF
-				}
-				return trace.Sample{}, fmt.Errorf("%w: truncated stream magic", ErrFormat)
-			}
-		}
-		if string(d.buf[d.start:d.start+len(BinaryMagic)]) != BinaryMagic {
-			return trace.Sample{}, fmt.Errorf("%w: missing %q stream magic", ErrFormat, BinaryMagic)
-		}
-		d.start += len(BinaryMagic)
-		d.magic = true
-	}
-	for d.end-d.start < BinaryFrameSize {
-		if !d.fill() {
-			if d.readErr != nil {
-				return trace.Sample{}, d.readErr
-			}
-			if d.end == d.start {
-				return trace.Sample{}, io.EOF
-			}
-			return trace.Sample{}, fmt.Errorf("%w: truncated frame after sample %d (%d trailing bytes)",
-				ErrFormat, d.n, d.end-d.start)
-		}
-	}
-	s := decodeFrame(d.buf[d.start : d.start+BinaryFrameSize])
-	d.start += BinaryFrameSize
-	d.n++
-	return s, nil
-}
-
 // decodeFrame decodes one 64-byte binary frame (b must hold exactly
 // BinaryFrameSize bytes).
 func decodeFrame(b []byte) trace.Sample {
@@ -278,159 +307,26 @@ func decodeFrame(b []byte) trace.Sample {
 	return frameSample(f)
 }
 
-func (d *Decoder) nextLine() (trace.Sample, error) {
-	for {
-		if i := indexByte(d.buf[d.start:d.end], '\n'); i >= 0 {
-			line := d.buf[d.start : d.start+i]
-			d.start += i + 1
-			if len(trimSpace(line)) == 0 {
-				continue // blank lines separate nothing; skip
-			}
-			if len(line) > MaxLineLen {
-				return trace.Sample{}, fmt.Errorf("sample %d: %w (%d bytes)", d.n, ErrLineTooLong, len(line))
-			}
-			s, err := parseSampleLine(line)
-			if err != nil {
-				return trace.Sample{}, fmt.Errorf("sample %d: %w", d.n, err)
-			}
-			d.n++
-			return s, nil
-		}
-		if d.end-d.start > MaxLineLen {
-			return trace.Sample{}, fmt.Errorf("sample %d: %w (%d bytes)", d.n, ErrLineTooLong, d.end-d.start)
-		}
-		if !d.fill() {
-			if d.readErr != nil {
-				return trace.Sample{}, d.readErr
-			}
-			rest := trimSpace(d.buf[d.start:d.end])
-			d.start = d.end
-			if len(rest) == 0 {
-				return trace.Sample{}, io.EOF
-			}
-			if len(rest) > MaxLineLen {
-				return trace.Sample{}, fmt.Errorf("sample %d: %w (%d bytes)", d.n, ErrLineTooLong, len(rest))
-			}
-			// Final line without trailing newline.
-			s, err := parseSampleLine(rest)
-			if err != nil {
-				return trace.Sample{}, fmt.Errorf("sample %d: %w", d.n, err)
-			}
-			d.n++
-			return s, nil
-		}
-	}
-}
+// sampleKeys are the keys of an NDJSON sample object in frame order, so
+// a key's index is its slot in the frame.
+var sampleKeys = newKeySet("t", "ax", "ay", "az", "gx", "gy", "gz", "yaw")
 
 // parseSampleLine parses one NDJSON sample object. It accepts the
-// fields in any order and tolerates missing gyro fields (zero), like
-// the legacy CSV layout. Unknown keys and non-numeric values are
-// format errors — silently ignoring them would hide producer bugs.
-func parseSampleLine(b []byte) (trace.Sample, error) {
-	var s trace.Sample
-	b = trimSpace(b)
-	if len(b) < 2 || b[0] != '{' {
-		return s, fmt.Errorf("%w: expected JSON object", ErrFormat)
+// fields in any order and tolerates missing ones (zero), like the
+// legacy CSV layout with its optional gyro. Unknown or duplicate keys
+// and non-numeric values are format errors — silently ignoring them
+// would hide producer bugs.
+func parseSampleLine(line []byte) (trace.Sample, error) {
+	p := cursor{b: line, what: "line"}
+	var f [8]float64
+	err := p.object(sampleKeys, func(k int) (err error) {
+		f[k], err = p.number()
+		return err
+	})
+	if err == nil && p.skip() != 0 {
+		err = p.errorf("trailing data")
 	}
-	b = b[1:]
-	seenAny := false
-	for {
-		b = trimSpace(b)
-		if len(b) == 0 {
-			return s, fmt.Errorf("%w: unterminated object", ErrFormat)
-		}
-		if b[0] == '}' {
-			if len(trimSpace(b[1:])) != 0 {
-				return s, fmt.Errorf("%w: trailing data after object", ErrFormat)
-			}
-			return s, nil
-		}
-		if seenAny {
-			if b[0] != ',' {
-				return s, fmt.Errorf("%w: expected ',' between fields", ErrFormat)
-			}
-			b = trimSpace(b[1:])
-		}
-		seenAny = true
-		if len(b) == 0 || b[0] != '"' {
-			return s, fmt.Errorf("%w: expected field name", ErrFormat)
-		}
-		b = b[1:]
-		q := indexByte(b, '"')
-		if q < 0 {
-			return s, fmt.Errorf("%w: unterminated field name", ErrFormat)
-		}
-		key := b[:q]
-		b = trimSpace(b[q+1:])
-		if len(b) == 0 || b[0] != ':' {
-			return s, fmt.Errorf("%w: expected ':' after field name", ErrFormat)
-		}
-		b = trimSpace(b[1:])
-		num, rest, err := scanNumber(b)
-		if err != nil {
-			return s, err
-		}
-		v, err := parseFloat(num)
-		if err != nil {
-			return s, fmt.Errorf("%w: bad number %q", ErrFormat, num)
-		}
-		b = rest
-		switch string(key) { // compiled to an alloc-free switch on []byte
-		case "t":
-			s.T = v
-		case "ax":
-			s.Accel.X = v
-		case "ay":
-			s.Accel.Y = v
-		case "az":
-			s.Accel.Z = v
-		case "gx":
-			s.Gyro.X = v
-		case "gy":
-			s.Gyro.Y = v
-		case "gz":
-			s.Gyro.Z = v
-		case "yaw":
-			s.Yaw = v
-		default:
-			return s, fmt.Errorf("%w: unknown field %q", ErrFormat, key)
-		}
-	}
-}
-
-// scanNumber splits b into a leading JSON-ish number token and the rest.
-// It accepts the strconv superset (NaN, Inf, hex floats are rejected
-// later by parseFloat if malformed) — the serving layer decides whether
-// non-finite values are admissible, not the scanner.
-func scanNumber(b []byte) (num, rest []byte, err error) {
-	i := 0
-	for i < len(b) && !numberEnd[b[i]] {
-		i++
-	}
-	if i == 0 {
-		return nil, nil, fmt.Errorf("%w: expected number", ErrFormat)
-	}
-	return b[:i], b[i:], nil
-}
-
-// numberEnd marks the bytes that end a number token: separators,
-// closing brackets and whitespace.
-var numberEnd = [256]bool{',': true, '}': true, ']': true, ' ': true, '\t': true, '\r': true, '\n': true}
-
-// parseFloat parses b with strconv.ParseFloat semantics without
-// allocating. The unsafe.String view is sound here: ParseFloat only
-// reads its argument during the call and retains it only inside the
-// returned error, which we rebuild from a safe copy — the view never
-// outlives b.
-func parseFloat(b []byte) (float64, error) {
-	if len(b) == 0 {
-		return 0, fmt.Errorf("%w: empty number", ErrFormat)
-	}
-	v, err := strconv.ParseFloat(unsafe.String(&b[0], len(b)), 64)
-	if err != nil {
-		return strconv.ParseFloat(string(b), 64)
-	}
-	return v, nil
+	return frameSample(f), err
 }
 
 // Event is the JSON shape of one streaming classification event, the
@@ -564,16 +460,4 @@ func ParseLabel(s string) (gaitid.Label, error) {
 		}
 	}
 	return 0, fmt.Errorf("wire: unknown cycle label %q", s)
-}
-
-func indexByte(b []byte, c byte) int { return bytes.IndexByte(b, c) }
-
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
 }

@@ -28,20 +28,32 @@ func randSample(rng *rand.Rand) trace.Sample {
 	}
 }
 
-func decodeAll(t *testing.T, buf []byte, contentType string) []trace.Sample {
-	t.Helper()
-	d := NewDecoder(bytes.NewReader(buf), contentType)
-	var out []trace.Sample
+// drain decodes d through NextBlock in blocks of max samples, reusing
+// one destination buffer the way the server does. It returns every
+// sample decoded and the error that ended the stream, nil at a clean
+// end.
+func drain(d *Decoder, max int) ([]trace.Sample, error) {
+	var out, block []trace.Sample
 	for {
-		s, err := d.Next()
+		var err error
+		block, err = d.NextBlock(block, max)
+		out = append(out, block...)
 		if err == io.EOF {
-			return out
+			return out, nil
 		}
 		if err != nil {
-			t.Fatalf("decode sample %d: %v", len(out), err)
+			return out, err
 		}
-		out = append(out, s)
 	}
+}
+
+func decodeAll(t *testing.T, buf []byte, contentType string) []trace.Sample {
+	t.Helper()
+	out, err := drain(NewDecoder(bytes.NewReader(buf), contentType), stream.BlockSamples)
+	if err != nil {
+		t.Fatalf("decode sample %d: %v", len(out), err)
+	}
+	return out
 }
 
 func TestSampleRoundTripNDJSON(t *testing.T) {
@@ -95,17 +107,9 @@ func TestDecoderSmallReads(t *testing.T) {
 		{"binary", ContentTypeBinary, bin},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDecoder(iotest{r: bytes.NewReader(tc.buf)}, tc.ct)
-			var got []trace.Sample
-			for {
-				s, err := d.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, s)
+			got, err := drain(NewDecoder(iotest{r: bytes.NewReader(tc.buf)}, tc.ct), stream.BlockSamples)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatal("one-byte-read round trip mismatch")
@@ -158,12 +162,8 @@ func TestDecoderErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := NewDecoder(strings.NewReader(tc.in), tc.ct)
-			var err error
-			for err == nil {
-				_, err = d.Next()
-			}
-			if err == io.EOF || !errors.Is(err, tc.wantErr) {
+			_, err := drain(NewDecoder(strings.NewReader(tc.in), tc.ct), stream.BlockSamples)
+			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("got %v, want %v", err, tc.wantErr)
 			}
 		})
@@ -175,21 +175,19 @@ func TestDecoderTruncatedFrameReportsCount(t *testing.T) {
 	buf = AppendSampleBinary(buf, trace.Sample{T: 1})
 	buf = append(buf, 0x01, 0x02) // 2 trailing bytes
 	d := NewDecoder(bytes.NewReader(buf), ContentTypeBinary)
-	if _, err := d.Next(); err != nil {
-		t.Fatal(err)
+	got, err := drain(d, stream.BlockSamples)
+	if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "after sample 1 (2 trailing bytes)") {
+		t.Fatalf("got %v, want ErrFormat after sample 1", err)
 	}
-	_, err := d.Next()
-	if !errors.Is(err, ErrFormat) {
-		t.Fatalf("got %v, want ErrFormat", err)
-	}
-	if d.Decoded() != 1 {
-		t.Fatalf("Decoded() = %d, want 1", d.Decoded())
+	if len(got) != 1 || d.Decoded() != 1 {
+		t.Fatalf("decoded %d samples, Decoded() = %d; want 1", len(got), d.Decoded())
 	}
 }
 
 // TestDecodeAllocFree pins the steady-state contract: once warmed up,
-// Next allocates nothing for either format (the same bar the stream
-// scan path holds).
+// with a reused destination block, a full decode pass through NextBlock
+// allocates nothing for either format (the same bar the stream scan
+// path holds).
 func TestDecodeAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	nd := []byte(nil)
@@ -209,17 +207,10 @@ func TestDecodeAllocFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := bytes.NewReader(tc.buf)
 			d := NewDecoder(r, tc.ct)
+			block := make([]trace.Sample, 0, stream.BlockSamples)
 			allocs := testing.AllocsPerRun(50, func() {
-				r.Reset(tc.buf)
-				d.r, d.start, d.end, d.eof, d.magic = r, 0, 0, false, false
-				d.buf = d.buf[:0]
-				for {
-					if _, err := d.Next(); err != nil {
-						if err != io.EOF {
-							t.Fatal(err)
-						}
-						break
-					}
+				if err := decodePass(d, r, tc.buf, block, stream.BlockSamples); err != nil {
+					t.Fatal(err)
 				}
 			})
 			if allocs > 0 {
