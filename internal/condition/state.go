@@ -23,8 +23,9 @@ func (s *Streamer) Snapshot(dst []byte) []byte {
 	e := statecodec.NewEnc(dst, snapVersion)
 	e.F64(s.rate)
 
-	e.Uint(uint64(len(s.pend)))
-	for _, p := range s.pend {
+	live := s.pend[s.head:]
+	e.Uint(uint64(len(live)))
+	for _, p := range live {
 		encSample(e, p)
 	}
 	e.Bool(s.havePrev)
@@ -93,7 +94,7 @@ func (s *Streamer) Restore(blob []byte) error {
 		return fmt.Errorf("condition: restore: %w", err)
 	}
 
-	s.pend = pend
+	s.pend, s.head = pend, 0
 	s.havePrev = havePrev
 	s.prev = prev
 	s.gridT0 = gridT0

@@ -184,7 +184,8 @@ func (g *grid) defect(kind string) {
 type Streamer struct {
 	grid
 	window int
-	pend   []trace.Sample // reorder buffer, ascending by T
+	pend   []trace.Sample // reorder buffer pend[head:], ascending by T
+	head   int            // committed samples before the window, dropped once per window
 }
 
 // NewStreamer builds an online conditioner emitting at cfg.NominalRate.
@@ -239,7 +240,8 @@ func (s *Streamer) ingest(raw trace.Sample) bool {
 		s.rep.NonFinite++
 		return false
 	}
-	if s.havePrev && raw.T <= s.prev.T && (len(s.pend) == 0 || raw.T < s.pend[0].T) {
+	live := s.pend[s.head:]
+	if s.havePrev && raw.T <= s.prev.T && (len(live) == 0 || raw.T < live[0].T) {
 		// Arrived after its timeline position was already committed:
 		// beyond the reorder window's reach.
 		if raw.T == s.prev.T {
@@ -254,25 +256,32 @@ func (s *Streamer) ingest(raw trace.Sample) bool {
 		return false
 	}
 	// Insert into the sorted reorder buffer.
-	i := len(s.pend)
-	for i > 0 && s.pend[i-1].T > raw.T {
+	i := len(live)
+	for i > 0 && live[i-1].T > raw.T {
 		i--
 	}
-	if i > 0 && s.pend[i-1].T == raw.T {
+	if i > 0 && live[i-1].T == raw.T {
 		s.defect("duplicate")
 		s.rep.Duplicates++
 		return false
 	}
-	if i < len(s.pend) {
+	if i < len(live) {
 		s.defect("out_of_order")
 		s.rep.OutOfOrder++
 	}
 	s.pend = append(s.pend, trace.Sample{})
-	copy(s.pend[i+1:], s.pend[i:])
-	s.pend[i] = raw
-	for len(s.pend) > s.window {
-		s.commit(s.pend)
-		s.pend = s.pend[:copy(s.pend, s.pend[1:])]
+	live = s.pend[s.head:]
+	copy(live[i+1:], live[i:])
+	live[i] = raw
+	for len(s.pend)-s.head > s.window {
+		s.commit(s.pend[s.head:])
+		s.head++
+	}
+	// Committing advances head; the window moves back to the front
+	// once per window's worth of commits, O(1) amortised per sample.
+	if s.head >= s.window {
+		s.pend = s.pend[:copy(s.pend, s.pend[s.head:])]
+		s.head = 0
 	}
 	return true
 }
@@ -281,9 +290,9 @@ func (s *Streamer) ingest(raw trace.Sample) bool {
 // streamer stays usable (a subsequent Push starts from the same grid).
 func (s *Streamer) Flush() []Out {
 	s.out = s.out[:0]
-	for i := range s.pend {
+	for i := s.head; i < len(s.pend); i++ {
 		s.commit(s.pend[i:])
 	}
-	s.pend = s.pend[:0]
+	s.pend, s.head = s.pend[:0], 0
 	return s.out
 }

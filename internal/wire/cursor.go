@@ -135,13 +135,20 @@ func (p *cursor) str() ([]byte, error) {
 }
 
 // number parses a number with strconv.ParseFloat semantics, the
-// strconv superset of JSON numbers (NaN, Inf and hex floats included).
-// The unsafe.String view is sound: ParseFloat reads its argument only
-// during the call and retains it only inside an error, which is
-// dropped here.
+// strconv superset of JSON numbers (NaN, Inf and hex floats included);
+// the token runs to the first numberEnd byte. A plain decimal token
+// takes fastNumber, whose result is bit-identical to ParseFloat's;
+// every other token goes to ParseFloat itself, so the grammar and the
+// errors are strconv's. The unsafe.String view is sound: ParseFloat
+// reads its argument only during the call and retains it only inside
+// an error, which is dropped here.
 func (p *cursor) number() (float64, error) {
 	p.skip()
 	num := p.b[p.i:]
+	if v, n, ok := fastNumber(num); ok && (n == len(num) || numberEnd[num[n]]) {
+		p.i += n
+		return v, nil
+	}
 	n := 0
 	for n < len(num) && !numberEnd[num[n]] {
 		n++

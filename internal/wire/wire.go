@@ -26,8 +26,9 @@
 // TestDecodeAllocFree and the bench-guard ceilings): it scans a
 // reusable buffer and parses numbers without constructing intermediate
 // strings. Floats round-trip exactly — encoders use strconv's shortest
-// form and decoders parse with strconv semantics — so a trace survives
-// the wire bit-identical.
+// form, and decoders convert plain decimals on a fast path that is
+// bit-identical to strconv.ParseFloat and hand every other token to
+// ParseFloat — so a trace survives the wire bit-identical.
 package wire
 
 import (
@@ -268,6 +269,12 @@ func (d *Decoder) appendLine(dst []trace.Sample, line []byte) ([]trace.Sample, e
 	return append(dst, s), nil
 }
 
+// maxEmptyReads bounds the consecutive reads returning no data and no
+// error that fill retries, bufio.Reader's rule: io.Reader discourages
+// them but allows them, and a reader that only returns them fails with
+// io.ErrNoProgress.
+const maxEmptyReads = 100
+
 // fill reads more input, compacting the buffer so the unconsumed tail
 // keeps its capacity. It returns false at EOF with no new data.
 func (d *Decoder) fill() bool {
@@ -285,16 +292,22 @@ func (d *Decoder) fill() bool {
 		// 2*MaxLineLen) and frames drains whole frames first.
 		return false
 	}
-	n, err := d.r.Read(d.buf[d.end:cap(d.buf)])
-	d.end += n
-	d.buf = d.buf[:d.end]
-	if err != nil {
-		d.eof = true
-		if err != io.EOF {
-			d.readErr = err
+	for range maxEmptyReads {
+		n, err := d.r.Read(d.buf[d.end:cap(d.buf)])
+		d.end += n
+		d.buf = d.buf[:d.end]
+		if err != nil {
+			d.eof = true
+			if err != io.EOF {
+				d.readErr = err
+			}
+		}
+		if n > 0 || err != nil {
+			return n > 0
 		}
 	}
-	return n > 0
+	d.eof, d.readErr = true, io.ErrNoProgress
+	return false
 }
 
 // decodeFrame decodes one 64-byte binary frame (b must hold exactly

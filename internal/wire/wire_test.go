@@ -118,6 +118,67 @@ func TestDecoderSmallReads(t *testing.T) {
 	}
 }
 
+// TestDecoderEmptyReads: a Read returning no data and no error is not
+// the end of input. One before the data, and one before every byte,
+// lose nothing; a reader that never makes progress fails with
+// io.ErrNoProgress instead of looking like an empty push.
+func TestDecoderEmptyReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var want []trace.Sample
+	nd := []byte(nil)
+	bin := AppendBinaryHeader(nil)
+	for i := 0; i < 10; i++ {
+		s := randSample(rng)
+		want = append(want, s)
+		nd = AppendSample(nd, s)
+		bin = AppendSampleBinary(bin, s)
+	}
+	for _, tc := range []struct {
+		name, ct string
+		buf      []byte
+	}{
+		{"ndjson", ContentTypeNDJSON, nd},
+		{"binary", ContentTypeBinary, bin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, r := range []io.Reader{
+				&emptyReads{r: bytes.NewReader(tc.buf), stall: 1},
+				&emptyReads{r: iotest{r: bytes.NewReader(tc.buf)}, alternate: true},
+			} {
+				got, err := drain(NewDecoder(r, tc.ct), stream.BlockSamples)
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%d of %d samples, err %v", len(got), len(want), err)
+				}
+			}
+			got, err := drain(NewDecoder(&emptyReads{r: bytes.NewReader(tc.buf), stall: maxEmptyReads}, tc.ct), stream.BlockSamples)
+			if len(got) != 0 || err != io.ErrNoProgress {
+				t.Fatalf("stalled reader: %d samples, err %v; want io.ErrNoProgress", len(got), err)
+			}
+		})
+	}
+}
+
+// emptyReads returns 0, nil stall times before delegating to r, then,
+// if alternate is set, before every read it delegates.
+type emptyReads struct {
+	r                  io.Reader
+	stall              int
+	alternate, stalled bool
+}
+
+func (e *emptyReads) Read(p []byte) (int, error) {
+	if e.stall > 0 {
+		e.stall--
+		return 0, nil
+	}
+	if e.alternate {
+		if e.stalled = !e.stalled; e.stalled {
+			return 0, nil
+		}
+	}
+	return e.r.Read(p)
+}
+
 // iotest yields one byte per Read.
 type iotest struct{ r io.Reader }
 
