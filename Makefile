@@ -1,67 +1,42 @@
 # Development targets. `make check` is the pre-commit gate; it matches
 # what the tier-1 verification runs plus formatting, vet and the race
-# detector. `make bench-guard` re-checks the performance contracts: the
+# detector. `make bench-guard` re-checks the performance contracts.
+# Time is gated by one rule: each gated benchmark runs as interleaved
+# pairs of the merge base (BASE) and the working tree
+# (scripts/benchpair.sh), and cmd/benchjson fails a benchmark the
+# working tree made slower by more than the base's own noise (see its
+# package doc and docs/PERF.md). Allocations, bytes and capacity are
+# deterministic or catch collapse, so they keep absolute ceilings: the
 # nil-hook pipeline must stay strictly below the uninstrumented seed's
 # 2664 allocs/op (current ceilings live in internal/core/observe_test.go),
-# and the incremental streaming front end must hold its ns-per-sample and
-# allocs-per-sample ceilings with flat scaling from 60 s to 240 s traces
-# (enforced by cmd/benchjson; see docs/PERF.md for the cost model).
-# `make bench-json` refreshes the committed BENCH_stream.json snapshot.
-# `make bench-mem` (also run by bench-guard) enforces the memory budget:
-# bytes per idle session, the sessions-per-GB floor, and the warm
-# tracker's retained-capacity ceiling (snapshot in BENCH_mem.json).
+# and the streaming front end, wire decode, hub and conditioner hold
+# their allocs-per-sample ceilings. `make bench-mem` (also run by
+# bench-guard) enforces the memory budget: bytes per idle session, the
+# sessions-per-GB floor, and the warm tracker's retained-capacity
+# ceiling (snapshot in BENCH_mem.json). `make bench-json` refreshes the
+# committed BENCH_stream.json snapshot without a base.
 # `make bench-batch` compares serial vs pooled batch processing.
 
 GO ?= go
 
-# Streaming front-end ceilings (see ISSUE acceptance criteria and
-# docs/PERF.md): the seed's whole-buffer tracker ran at ~3320 ns/sample
-# and the first incremental front end at ~567; the block path
-# (PushBlock + fused kernels + run-skipping extrema scan) measures
-# ~295-310 ns/sample on a quiet host but run-to-run timer noise on
-# shared hosts was observed up to ~405, so the ceiling is 430 — noisy
-# measurement +~15%, and still a hard ratchet from the pre-block 664.
-# Allocations are event-path only and exactly flat with duration
-# (125 per trace at 60/120/240 s ≈ 0.02/sample at 60 s); the ns/sample
-# flatness gate is padded to 30% for the same shared-host noise (the
-# real flatness contract — allocs — is exact via the alloc ceiling).
-STREAM_MAX_NS_PER_SAMPLE ?= 430
+# The commit the paired timing gate compares the working tree against.
+# On main the merge base is HEAD, so uncommitted work is compared with
+# the last commit. CI passes the pull request's base or the commit a
+# push replaced. A base that cannot be checked out fails the gate.
+BASE ?= $(shell git merge-base HEAD main)
+PAIRED = GO='$(GO)' scripts/benchpair.sh '$(BASE)'
+
+# Allocation ceilings. Allocations are deterministic, so these are
+# exact contracts, not noise allowances: the streaming front end
+# allocates on the event path only, flat with duration (125 per trace at
+# 60/120/240 s ≈ 0.02/sample at 60 s); wire decode and the streaming
+# conditioner are alloc-free at steady state (pinned exactly by
+# TestDecodeAllocFree and TestStreamSteadyStateAllocFree); the hub's
+# per-sample allocations stay bounded with tracing on.
 STREAM_MAX_ALLOCS_PER_SAMPLE ?= 0.05
-STREAM_FLAT_WITHIN ?= 0.30
-
-# Trace-conditioner ceilings: the streaming conditioner measured
-# ~68 ns/sample on the reference host, and its steady state is
-# alloc-free (pinned exactly by TestStreamSteadyStateAllocFree).
-CONDITION_MAX_NS_PER_SAMPLE ?= 150
 CONDITION_MAX_ALLOCS_PER_SAMPLE ?= 0.01
-
-# Serving-layer wire-decode ceilings, timed through NextBlock in
-# 64-sample blocks as the server decodes: NDJSON measured 459-887
-# ns/sample over twenty runs on a 2-vCPU VM, quiet and busy (in-place
-# scanner, plain decimals on the Eisel-Lemire fast path; ~1.9
-# µs/sample with every number through strconv.ParseFloat), and its
-# ceiling is 1.5x the worst of those runs; the binary framing ~40
-# ns/sample. Both are alloc-free at steady state (pinned exactly by
-# TestDecodeAllocFree).
-WIRE_NDJSON_MAX_NS_PER_SAMPLE ?= 1330
-WIRE_BINARY_MAX_NS_PER_SAMPLE ?= 120
 WIRE_MAX_ALLOCS_PER_SAMPLE ?= 0.01
-
-# Tracing-overhead ceilings (BenchmarkHubPush, snapshot in
-# BENCH_trace.json): the full hub pipeline — queue hop + streaming DSP —
-# measured ~543 ns/sample with no tracer attached and ~585 with
-# head-sampling at 1.0 (paired medians), i.e. the per-block span path
-# costs ~8% on a sampled request and nothing measurable otherwise. The nil-tracer
-# "tracing off is free" contract is pinned exactly (0 allocs) by
-# TestNilTracerAllocFree; the ns/sample drift gate against the committed
-# snapshot is padded far above the 1% design goal because run-to-run
-# timer noise on shared hosts was observed at ±20% — the absolute
-# ceilings are the hard gate, the drift gate only catches gross
-# regressions.
-TRACE_OFF_MAX_NS_PER_SAMPLE ?= 1125
-TRACE_SAMPLED_MAX_NS_PER_SAMPLE ?= 1250
 TRACE_MAX_ALLOCS_PER_SAMPLE ?= 0.75
-TRACE_REGRESS_WITHIN ?= 0.30
 
 # Memory-footprint budget for million-session scale (BENCH_mem.json):
 # one idle hub session — bounded queue, goroutine stack, warm tracker —
@@ -86,14 +61,10 @@ SERVE_MIN_GOODPUT_SPS ?= 20000
 SERVE_MAX_INGEST_P99_NS ?= 2000000000
 SERVE_MAX_REJECT_RATE ?= 0.5
 
-# Durable-session-state ceilings (BenchmarkSnapshot/BenchmarkRestore,
-# snapshot in BENCH_state.json): a warm 60 s walking session snapshots
-# in ~21 µs into ~58 KB — cheap enough to checkpoint every session of a
-# full hub inside one checkpoint interval. The ns ceiling is padded
-# ~10x for shared-host timer noise; the byte ceiling is the hard
-# "compact blob" contract (a session must never approach raw-trace
-# size, which would be ~500 KB/min).
-STATE_MAX_SNAPSHOT_NS ?= 250000
+# Durable-session-state byte ceiling (BenchmarkSnapshot, snapshot in
+# BENCH_state.json): a warm 60 s walking session snapshots into ~58 KB.
+# The ceiling is the hard "compact blob" contract (a session must never
+# approach raw-trace size, which would be ~500 KB/min).
 STATE_MAX_BYTES_PER_SESSION ?= 131072
 
 # Paper-accuracy pins (BENCH_accuracy.json): the headline numbers of
@@ -211,39 +182,26 @@ loc-test:
 # The alloc-ceiling tests fail if the hot path regresses: the one-shot
 # and hook-enabled paths must stay under the post-recycling ceiling
 # (strictly below the 2664 allocs/op seed), and the reused-Pipeline path
-# under its tighter one. The benchmark prints the current allocs/op and
-# ns/op for all three variants side by side.
+# under its tighter one. Every timed benchmark then runs paired against
+# BASE: the batch pipeline, the streaming front end at 60/120/240 s (a
+# per-length ratio catches a cost that grows with the stream), wire
+# decode, the hub with tracing off and head-sampled, and session
+# snapshot/restore. Iteration counts are fixed, so both sides do the
+# same work, and short, so a run often falls between bursts of load
+# from other tenants.
 bench-guard:
 	$(GO) test ./internal/core -run 'TestProcessNilHooksAllocGuard|TestHooksAllocFree|TestPipelineReuseAllocGuard' -count=1 -v
-	$(GO) test ./internal/core -run NONE -bench 'BenchmarkProcess$$' -benchmem -benchtime 10x
+	$(PAIRED) internal/core 'BenchmarkProcess$$' 10x
 	$(GO) test ./internal/stream -run 'TestScanPathAllocFree' -count=1 -v
-	$(GO) test . -run NONE -bench 'BenchmarkOnlineTracker' -benchmem -benchtime 2s \
-		| $(GO) run ./cmd/benchjson -out BENCH_stream.json \
-		-max ns/sample=$(STREAM_MAX_NS_PER_SAMPLE) \
-		-max allocs/sample=$(STREAM_MAX_ALLOCS_PER_SAMPLE) \
-		-flat-within $(STREAM_FLAT_WITHIN)
+	$(PAIRED) . 'BenchmarkOnlineTracker' 20x -out BENCH_stream.json \
+		-max allocs/sample=$(STREAM_MAX_ALLOCS_PER_SAMPLE)
 	$(GO) test ./internal/wire -run 'TestDecodeAllocFree' -count=1 -v
-	$(GO) test ./internal/wire -run NONE -bench 'BenchmarkDecodeNDJSON$$' -benchmem -benchtime 1s \
-		| $(GO) run ./cmd/benchjson \
-		-max ns/sample=$(WIRE_NDJSON_MAX_NS_PER_SAMPLE) \
-		-max allocs/sample=$(WIRE_MAX_ALLOCS_PER_SAMPLE)
-	$(GO) test ./internal/wire -run NONE -bench 'BenchmarkDecodeBinary$$' -benchmem -benchtime 1s \
-		| $(GO) run ./cmd/benchjson \
-		-max ns/sample=$(WIRE_BINARY_MAX_NS_PER_SAMPLE) \
+	$(PAIRED) internal/wire 'BenchmarkDecode(NDJSON|Binary)$$' 50x \
 		-max allocs/sample=$(WIRE_MAX_ALLOCS_PER_SAMPLE)
 	$(GO) test ./internal/obs/tracing -run 'TestNilTracerAllocFree' -count=1 -v
-	$(GO) test ./internal/engine -run NONE -bench 'BenchmarkHubPush/off$$' -benchmem -benchtime 1s \
-		| $(GO) run ./cmd/benchjson \
-		-max ns/sample=$(TRACE_OFF_MAX_NS_PER_SAMPLE) \
+	$(PAIRED) internal/engine 'BenchmarkHubPush$$' 20x -out BENCH_trace.json \
 		-max allocs/sample=$(TRACE_MAX_ALLOCS_PER_SAMPLE)
-	$(GO) test ./internal/engine -run NONE -bench 'BenchmarkHubPush$$' -benchmem -benchtime 1s \
-		| $(GO) run ./cmd/benchjson -out BENCH_trace.json \
-		-baseline BENCH_trace.json -regress-within $(TRACE_REGRESS_WITHIN) \
-		-max ns/sample=$(TRACE_SAMPLED_MAX_NS_PER_SAMPLE) \
-		-max allocs/sample=$(TRACE_MAX_ALLOCS_PER_SAMPLE)
-	$(GO) test ./internal/stream -run NONE -bench 'BenchmarkSnapshot|BenchmarkRestore' -benchmem -benchtime 1000x \
-		| $(GO) run ./cmd/benchjson -out BENCH_state.json \
-		-max ns/op=$(STATE_MAX_SNAPSHOT_NS) \
+	$(PAIRED) internal/stream 'BenchmarkSnapshot|BenchmarkRestore' 1000x -out BENCH_state.json \
 		-max bytes/session=$(STATE_MAX_BYTES_PER_SESSION)
 	$(MAKE) bench-mem
 	$(MAKE) bench-serve
@@ -287,18 +245,14 @@ bench-serve:
 smoke-loadgen:
 	$(GO) test ./cmd/ptrack-loadgen -run 'TestLoadgenSmoke' -count=1 -v
 
-# The ingestion conditioner must stay a small fraction of the tracker's
-# per-sample budget: its ns/sample ceiling is ~25% of the streaming
-# front end's, and its steady-state Push path may not allocate. The
-# batch conditioner's ns/sample and B/sample (a 120 s severity-1 trace)
-# are printed for information, with no ceiling.
+# The conditioners, paired against BASE like bench-guard: the streaming
+# conditioner's steady-state Push path may not allocate, and the batch
+# conditioner (a 120 s severity-1 trace) is timed with no alloc ceiling.
 bench-condition:
 	$(GO) test ./internal/condition -run 'TestStreamSteadyStateAllocFree' -count=1 -v
-	$(GO) test ./internal/condition -run NONE -bench 'BenchmarkStreamerPush' -benchmem -benchtime 1s \
-		| $(GO) run ./cmd/benchjson \
-		-max ns/sample=$(CONDITION_MAX_NS_PER_SAMPLE) \
+	$(PAIRED) internal/condition 'BenchmarkStreamerPush' 100x \
 		-max allocs/sample=$(CONDITION_MAX_ALLOCS_PER_SAMPLE)
-	$(GO) test ./internal/condition -run NONE -bench 'BenchmarkCondition$$' -benchtime 1s
+	$(PAIRED) internal/condition 'BenchmarkCondition$$' 50x
 
 # Refresh the committed streaming benchmark snapshot without enforcing
 # ceilings (bench-guard both refreshes and enforces).

@@ -436,8 +436,9 @@ func BenchmarkOnlineTracker(b *testing.B) {
 // BenchmarkOnlineTrackerScaling runs the tracker over increasing trace
 // lengths. With the incremental front end the ns/sample metric must stay
 // flat: per-sample work is bounded by the filter settle length and the
-// compacted buffer, not the stream duration (cmd/benchjson -flat-within
-// enforces this from the emitted JSON).
+// compacted buffer, not the stream duration. make bench-guard compares
+// each length against the merge base, so a cost that grows with the
+// stream shows as a larger ratio at 240 s than at 60 s.
 func BenchmarkOnlineTrackerScaling(b *testing.B) {
 	for _, seconds := range []float64{60, 120, 240} {
 		b.Run(fmtInt("s", int(seconds)), func(b *testing.B) {
@@ -478,10 +479,10 @@ func benchOnlineTracker(b *testing.B, seconds float64) {
 
 // BenchmarkPushSample measures the single-sample Push entry point — the
 // latency-shaped path a device feeding one sample per sensor interrupt
-// uses. Deliberately named outside the BenchmarkOnlineTracker family:
-// bench-guard's flat-within comparison spans the block-path benchmarks,
-// and the per-sample path legitimately pays more per sample than the
-// amortized block path.
+// uses. Deliberately named outside the BenchmarkOnlineTracker family,
+// which bench-guard gates and records in BENCH_stream.json as the block
+// path's cost; the per-sample path legitimately pays more per sample
+// than the amortized block path.
 func BenchmarkPushSample(b *testing.B) {
 	user := gaitsim.DefaultProfile()
 	rec, err := gaitsim.SimulateActivity(user, gaitsim.DefaultConfig(), trace.ActivityWalking, 60)

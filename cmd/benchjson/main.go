@@ -1,32 +1,29 @@
 // Command benchjson parses `go test -bench` output into a JSON report and
-// optionally enforces performance ceilings, exiting non-zero when a
-// benchmark breaks one. It is the machine-readable half of `make
-// bench-guard`: the JSON snapshot (BENCH_stream.json) records the numbers
-// a commit was gated on, and the flags are the gate.
+// gates it, exiting non-zero when a benchmark breaks a gate. It is the
+// machine-readable half of `make bench-guard`: the JSON snapshots
+// (BENCH_*.json) record the numbers a commit was gated on.
 //
 // Usage:
 //
-//	go test . -run NONE -bench BenchmarkOnlineTracker -benchmem | \
-//	    benchjson -out BENCH_stream.json \
-//	    -max ns/sample=664 -max allocs/sample=0.75 -flat-within 0.20
+//	go test ./internal/engine -run NONE -bench BenchmarkIdleSessionFootprint -benchtime 1x | \
+//	    benchjson -out BENCH_mem.json -max bytes/idle-session=49152
+//
+//	scripts/benchpair.sh "$(git merge-base HEAD main)" . BenchmarkOnlineTracker 20x \
+//	    -out BENCH_stream.json -max allocs/sample=0.05
 //
 // Every benchmark reporting both allocs/op and samples/op also gets a
 // derived allocs/sample metric (allocs/op ÷ samples/op), which
 // normalises per-op allocation counts across trace lengths.
 //
-// Ceilings:
+// Absolute gates, for metrics that are deterministic (allocations,
+// bytes, the seeded accuracy figures) or that catch collapse rather
+// than drift (serving capacity):
 //
-//	-flat-within F          across all benchmarks reporting ns/sample, the
-//	                        spread (max-min)/min must stay at or below F —
-//	                        the flat-scaling check for the incremental
-//	                        front end (requires at least two such
-//	                        benchmarks).
 //	-max METRIC=N           generic repeatable ceiling: every benchmark
 //	                        reporting METRIC (any unit string, e.g.
-//	                        "ns/sample", "allocs/sample",
-//	                        "bytes/session", "ns/op") must stay at or
-//	                        below N. Benchmarks not reporting METRIC are
-//	                        unaffected.
+//	                        "allocs/sample", "bytes/session") must stay
+//	                        at or below N. Benchmarks not reporting
+//	                        METRIC are unaffected.
 //	-min METRIC=N           generic repeatable floor: every benchmark
 //	                        reporting METRIC must stay at or above N —
 //	                        for capacity metrics where smaller is worse
@@ -36,16 +33,31 @@
 //	                        producer that silently emitted nothing the
 //	                        gates would have checked (e.g. a loadgen run
 //	                        whose every cell errored out).
-//	-baseline FILE          a previously committed benchjson report to
-//	                        compare against (typically the same file -out
-//	                        overwrites; the baseline is read first).
-//	-regress-within F       with -baseline: each benchmark's ns/sample may
-//	                        exceed the same-named baseline benchmark's by
-//	                        at most the fraction F — the anti-drift gate
-//	                        for the tracing-overhead snapshot
-//	                        (BENCH_trace.json). Benchmarks absent from the
-//	                        baseline pass; a missing baseline file is
-//	                        skipped so fresh snapshots can bootstrap.
+//
+// The paired timing gate. Time is not gated against a fixed number:
+// on a shared host the same binary's speed moves by a third within
+// minutes. Instead scripts/benchpair.sh runs the merge base and the
+// working tree as interleaved pairs and writes a `side: base` or
+// `side: candidate` line before each run; input with such lines is
+// compared side against side. For every benchmark it takes the timing
+// unit (ns/sample where the benchmark reports it, else ns/op), and:
+//
+//   - represents each side by its fastest run. Load from other tenants
+//     only ever adds time, so the fastest of N runs is the one that
+//     noise disturbed least (Chen and Revels, "Robust benchmarking in
+//     noisy environments", 2016);
+//   - counts the pairs the candidate lost (its i-th run slower than the
+//     base's i-th run);
+//   - fails the candidate when it lost most pairs and its fastest run
+//     is slower than the base's by more than the bound: the larger of
+//     minRegression and the base's own spread, the distance from its
+//     fastest run to its lower quartile.
+//
+// It prints one row per benchmark. A benchmark missing from the base
+// passes with a note; one missing from the candidate fails, as -require
+// would. The JSON report keeps each side's fastest run (benchmarks for
+// the candidate, base for the base) and the comparison rows, and the
+// absolute gates apply to the candidate's fastest runs.
 package main
 
 import (
@@ -121,6 +133,10 @@ type Report struct {
 	Package    string      `json:"package,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+	// Base holds the merge base's fastest runs, and Paired the
+	// comparison the candidate was gated on, when the input was paired.
+	Base   []Benchmark  `json:"base,omitempty"`
+	Paired []Comparison `json:"paired,omitempty"`
 	// Ceilings records the gate the run was checked against, so the
 	// committed snapshot documents its own acceptance criteria.
 	Ceilings map[string]float64 `json:"ceilings,omitempty"`
@@ -128,12 +144,7 @@ type Report struct {
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
-	var (
-		out           = fs.String("out", "", "write the JSON report to this file (default stdout)")
-		flatWithin    = fs.Float64("flat-within", 0, "max relative ns/sample spread across benchmarks (0 disables)")
-		baselineFile  = fs.String("baseline", "", "committed benchjson report to compare ns/sample against")
-		regressWithin = fs.Float64("regress-within", 0, "max relative ns/sample regression vs -baseline (0 disables)")
-	)
+	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
 	maxes := maxFlags{}
 	fs.Var(maxes, "max", "repeatable METRIC=N ceiling on any reported metric")
 	mins := minFlags{}
@@ -144,39 +155,21 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	report, err := parse(stdin)
+	report, base, err := parse(stdin)
 	if err != nil {
 		return err
 	}
-	if len(report.Benchmarks) == 0 {
+	if len(report.Benchmarks) == 0 && len(base) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin")
 	}
-
-	// Load the baseline before any writing: -out typically overwrites
-	// the very file the run is compared against.
-	var baseline *Report
-	if *baselineFile != "" && *regressWithin > 0 {
-		buf, err := os.ReadFile(*baselineFile)
-		switch {
-		case os.IsNotExist(err):
-			fmt.Fprintf(stdout, "benchjson: baseline %s missing, skipping regression gate\n", *baselineFile)
-		case err != nil:
-			return err
-		default:
-			baseline = &Report{}
-			if err := json.Unmarshal(buf, baseline); err != nil {
-				return fmt.Errorf("baseline %s: %w", *baselineFile, err)
-			}
-		}
+	if base != nil {
+		report.Paired = compare(base, report.Benchmarks)
+		report.Base = fastest(base)
+		report.Benchmarks = fastest(report.Benchmarks)
+		printComparison(stdout, report.Paired)
 	}
 
 	report.Ceilings = map[string]float64{}
-	if *flatWithin > 0 {
-		report.Ceilings["flat-within"] = *flatWithin
-	}
-	if *regressWithin > 0 {
-		report.Ceilings["regress-within"] = *regressWithin
-	}
 	for metric, ceiling := range maxes {
 		report.Ceilings["max:"+metric] = ceiling
 	}
@@ -206,7 +199,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err := checkRequired(report, requires); err != nil {
 		return err
 	}
-	return enforce(report, baseline, maxes, mins, *flatWithin, *regressWithin)
+	return enforce(report, maxes, mins)
 }
 
 // requireFlags collects repeatable -require METRIC names.
@@ -245,8 +238,13 @@ func checkRequired(report *Report, requires []string) error {
 	return nil
 }
 
-func parse(r io.Reader) (*Report, error) {
-	report := &Report{}
+// parse reads `go test -bench` output. Results under a `side: base`
+// line are returned apart, as the base's runs; every other result, under
+// `side: candidate` or under no side line, goes into the report. base is
+// nil unless the input named a side.
+func parse(r io.Reader) (report *Report, base []Benchmark, err error) {
+	report = &Report{}
+	side := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -256,6 +254,15 @@ func parse(r io.Reader) (*Report, error) {
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			report.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+			continue
+		case strings.HasPrefix(line, "side:"):
+			side = strings.TrimSpace(strings.TrimPrefix(line, "side:"))
+			if side != "base" && side != "candidate" {
+				return nil, nil, fmt.Errorf("unknown side %q", side)
+			}
+			if base == nil {
+				base = []Benchmark{}
+			}
 			continue
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
@@ -290,42 +297,31 @@ func parse(r io.Reader) (*Report, error) {
 		if samples := b.Metrics["samples/op"]; hasAllocs && samples > 0 {
 			b.Metrics["allocs/sample"] = allocs / samples
 		}
-		report.Benchmarks = append(report.Benchmarks, b)
+		if side == "base" {
+			base = append(base, b)
+		} else {
+			report.Benchmarks = append(report.Benchmarks, b)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return report, nil
+	return report, base, nil
 }
 
-func enforce(report, baseline *Report, maxes maxFlags, mins minFlags, flatWithin, regressWithin float64) error {
+func enforce(report *Report, maxes maxFlags, mins minFlags) error {
 	var failures []string
-	baseNs := map[string]float64{}
-	if baseline != nil && regressWithin > 0 {
-		for _, b := range baseline.Benchmarks {
-			if ns, ok := b.Metrics["ns/sample"]; ok {
-				baseNs[b.Name] = ns
-			}
+	for _, c := range report.Paired {
+		switch c.Verdict {
+		case verdictSlower:
+			failures = append(failures, fmt.Sprintf(
+				"%s: fastest %g %s is %.1f%% slower than the base's %g (bound %.1f%%, lost %d of %d pairs)",
+				c.Name, c.Candidate, c.Unit, 100*(c.Ratio-1), c.Base, 100*c.Bound, c.Lost, c.Pairs))
+		case verdictMissing:
+			failures = append(failures, fmt.Sprintf("%s: in the base but missing from the candidate", c.Name))
 		}
 	}
-	sampleMin, sampleMax := 0.0, 0.0
-	nSampled := 0
 	for _, b := range report.Benchmarks {
-		ns, hasNs := b.Metrics["ns/sample"]
-		if hasNs {
-			if base, ok := baseNs[b.Name]; ok && base > 0 && ns > base*(1+regressWithin) {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.1f ns/sample regressed %.1f%% past baseline %.1f (allowed %.1f%%)",
-					b.Name, ns, 100*(ns/base-1), base, 100*regressWithin))
-			}
-			if nSampled == 0 || ns < sampleMin {
-				sampleMin = ns
-			}
-			if nSampled == 0 || ns > sampleMax {
-				sampleMax = ns
-			}
-			nSampled++
-		}
 		for _, metric := range sortedKeys(maxes) {
 			if v, ok := b.Metrics[metric]; ok && v > maxes[metric] {
 				failures = append(failures, fmt.Sprintf(
@@ -339,18 +335,8 @@ func enforce(report, baseline *Report, maxes maxFlags, mins minFlags, flatWithin
 			}
 		}
 	}
-	if flatWithin > 0 {
-		if nSampled < 2 {
-			failures = append(failures, fmt.Sprintf(
-				"flat-within needs >=2 benchmarks reporting ns/sample, got %d", nSampled))
-		} else if spread := (sampleMax - sampleMin) / sampleMin; spread > flatWithin {
-			failures = append(failures, fmt.Sprintf(
-				"ns/sample spread %.1f%% (%.1f..%.1f) exceeds flat-within %.1f%%",
-				100*spread, sampleMin, sampleMax, 100*flatWithin))
-		}
-	}
 	if len(failures) > 0 {
-		return fmt.Errorf("performance ceilings violated:\n  %s", strings.Join(failures, "\n  "))
+		return fmt.Errorf("performance gates violated:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
 }

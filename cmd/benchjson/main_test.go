@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,7 +19,7 @@ ok  	ptrack	9.408s
 `
 
 func TestParse(t *testing.T) {
-	report, err := parse(strings.NewReader(sampleOutput))
+	report, _, err := parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,70 +41,35 @@ func TestParse(t *testing.T) {
 	if got, want := b.Metrics["allocs/sample"], 2265.0/6000; got != want {
 		t.Errorf("derived allocs/sample = %v, want %v", got, want)
 	}
-	noSamples, _ := parse(strings.NewReader("BenchmarkX 	 10	 100 ns/op	 3 allocs/op\n"))
+	noSamples, _, _ := parse(strings.NewReader("BenchmarkX 	 10	 100 ns/op	 3 allocs/op\n"))
 	if _, ok := noSamples.Benchmarks[0].Metrics["allocs/sample"]; ok {
 		t.Error("allocs/sample derived without samples/op")
 	}
 }
 
 func TestEnforcePasses(t *testing.T) {
-	report, _ := parse(strings.NewReader(sampleOutput))
+	report, _, _ := parse(strings.NewReader(sampleOutput))
 	ceilings := maxFlags{"ns/sample": 664, "allocs/sample": 0.75}
-	if err := enforce(report, nil, ceilings, nil, 0.20, 0); err != nil {
+	if err := enforce(report, ceilings, nil); err != nil {
 		t.Errorf("ceilings should pass: %v", err)
 	}
 }
 
 func TestEnforceCatchesViolations(t *testing.T) {
-	report, _ := parse(strings.NewReader(sampleOutput))
+	report, _, _ := parse(strings.NewReader(sampleOutput))
 	cases := []struct {
 		name         string
 		maxes        maxFlags
-		flat         float64
 		wantFragment string
 	}{
-		{"ns-per-sample", maxFlags{"ns/sample": 500}, 0, "ns/sample exceeds"},
-		{"allocs-per-sample", maxFlags{"allocs/sample": 0.3}, 0, "allocs/sample exceeds"},
-		{"flat-within", nil, 0.01, "spread"},
+		{"ns-per-sample", maxFlags{"ns/sample": 500}, "ns/sample exceeds"},
+		{"allocs-per-sample", maxFlags{"allocs/sample": 0.3}, "allocs/sample exceeds"},
 	}
 	for _, c := range cases {
-		err := enforce(report, nil, c.maxes, nil, c.flat, 0)
+		err := enforce(report, c.maxes, nil)
 		if err == nil || !strings.Contains(err.Error(), c.wantFragment) {
 			t.Errorf("%s: err = %v, want fragment %q", c.name, err, c.wantFragment)
 		}
-	}
-}
-
-func TestEnforceFlatNeedsTwo(t *testing.T) {
-	report, _ := parse(strings.NewReader(`BenchmarkX 	 10	 100 ns/op	 5.0 ns/sample
-`))
-	if err := enforce(report, nil, nil, nil, 0.2, 0); err == nil {
-		t.Error("flat-within with one benchmark should fail")
-	}
-}
-
-func TestEnforceBaselineRegression(t *testing.T) {
-	report, _ := parse(strings.NewReader(sampleOutput)) // OnlineTracker at 513.1 ns/sample
-
-	baseline := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkOnlineTracker", Metrics: map[string]float64{"ns/sample": 500}},
-		{Name: "BenchmarkUnrelated", Metrics: map[string]float64{"ns/sample": 1}},
-	}}
-	// 513.1 vs 500 is a 2.6% regression: passes a 5% gate, fails a 1% one.
-	if err := enforce(report, baseline, nil, nil, 0, 0.05); err != nil {
-		t.Errorf("2.6%% regression should pass a 5%% gate: %v", err)
-	}
-	err := enforce(report, baseline, nil, nil, 0, 0.01)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("2.6%% regression past a 1%% gate: err = %v, want regression failure", err)
-	}
-
-	// Benchmarks missing from the baseline are not compared.
-	fresh := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkSomethingElse", Metrics: map[string]float64{"ns/sample": 1}},
-	}}
-	if err := enforce(report, fresh, nil, nil, 0, 0.01); err != nil {
-		t.Errorf("baseline without matching names should pass: %v", err)
 	}
 }
 
@@ -113,14 +80,14 @@ func TestGenericMaxCeilings(t *testing.T) {
 BenchmarkSnapshot/plain 	 50000	 20484 ns/op	 57726 bytes/session	 0 B/op	 0 allocs/op
 BenchmarkSnapshot/full 	 50000	 22064 ns/op	 59499 bytes/session	 1912 B/op	 8 allocs/op
 `
-	report, err := parse(strings.NewReader(stateOutput))
+	report, _, err := parse(strings.NewReader(stateOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enforce(report, nil, maxFlags{"bytes/session": 65536, "ns/op": 1e6}, nil, 0, 0); err != nil {
+	if err := enforce(report, maxFlags{"bytes/session": 65536, "ns/op": 1e6}, nil); err != nil {
 		t.Errorf("generous generic ceilings should pass: %v", err)
 	}
-	err = enforce(report, nil, maxFlags{"bytes/session": 58000}, nil, 0, 0)
+	err = enforce(report, maxFlags{"bytes/session": 58000}, nil)
 	if err == nil || !strings.Contains(err.Error(), "bytes/session exceeds") {
 		t.Errorf("bytes ceiling: err = %v, want bytes/session violation", err)
 	}
@@ -129,7 +96,7 @@ BenchmarkSnapshot/full 	 50000	 22064 ns/op	 59499 bytes/session	 1912 B/op	 8 a
 		t.Errorf("benchmark under the ceiling flagged: %v", err)
 	}
 	// A metric no benchmark reports never trips.
-	if err := enforce(report, nil, maxFlags{"widgets/op": 1}, nil, 0, 0); err != nil {
+	if err := enforce(report, maxFlags{"widgets/op": 1}, nil); err != nil {
 		t.Errorf("absent metric should not trip: %v", err)
 	}
 
@@ -159,54 +126,29 @@ BenchmarkSnapshot/full 	 50000	 22064 ns/op	 59499 bytes/session	 1912 B/op	 8 a
 	}
 }
 
-func TestRunBaselineRoundTrip(t *testing.T) {
-	// First run bootstraps the snapshot (missing baseline is skipped),
-	// the second compares against it — including when -out overwrites
-	// the same file the baseline was read from.
-	path := t.TempDir() + "/BENCH.json"
-	args := []string{"-out", path, "-baseline", path, "-regress-within", "0.05"}
-	var out strings.Builder
-	if err := run(args, strings.NewReader(sampleOutput), &out); err != nil {
-		t.Fatalf("bootstrap run: %v", err)
-	}
-	if !strings.Contains(out.String(), "skipping regression gate") {
-		t.Errorf("bootstrap run did not report the missing baseline: %q", out.String())
-	}
-	if err := run(args, strings.NewReader(sampleOutput), &strings.Builder{}); err != nil {
-		t.Fatalf("identical re-run should pass the gate: %v", err)
-	}
-
-	// A third run 10% slower must fail against the committed snapshot.
-	slower := strings.ReplaceAll(sampleOutput, "513.1 ns/sample", "570.0 ns/sample")
-	err := run(args, strings.NewReader(slower), &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("10%% slower run: err = %v, want regression failure", err)
-	}
-}
-
 func TestGenericMinFloors(t *testing.T) {
 	// Capacity metrics invert the comparison: smaller is worse. -min
 	// METRIC=N fails any benchmark reporting METRIC below N.
 	memOutput := `pkg: ptrack/internal/engine
 BenchmarkIdleSessionFootprint 	 1	 1117400041 ns/op	 32549 bytes/idle-session	 32989 sessions-per-GB
 `
-	report, err := parse(strings.NewReader(memOutput))
+	report, _, err := parse(strings.NewReader(memOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enforce(report, nil, nil, minFlags{"sessions-per-GB": 20000}, 0, 0); err != nil {
+	if err := enforce(report, nil, minFlags{"sessions-per-GB": 20000}); err != nil {
 		t.Errorf("generous floor should pass: %v", err)
 	}
-	err = enforce(report, nil, nil, minFlags{"sessions-per-GB": 40000}, 0, 0)
+	err = enforce(report, nil, minFlags{"sessions-per-GB": 40000})
 	if err == nil || !strings.Contains(err.Error(), "below floor") {
 		t.Errorf("floor violation: err = %v, want below-floor failure", err)
 	}
 	// A metric no benchmark reports never trips.
-	if err := enforce(report, nil, nil, minFlags{"widgets/op": 1}, 0, 0); err != nil {
+	if err := enforce(report, nil, minFlags{"widgets/op": 1}); err != nil {
 		t.Errorf("absent metric should not trip: %v", err)
 	}
 	// Floors and ceilings compose on the same run.
-	if err := enforce(report, nil, maxFlags{"bytes/idle-session": 40000}, minFlags{"sessions-per-GB": 20000}, 0, 0); err != nil {
+	if err := enforce(report, maxFlags{"bytes/idle-session": 40000}, minFlags{"sessions-per-GB": 20000}); err != nil {
 		t.Errorf("composed gates should pass: %v", err)
 	}
 
@@ -237,7 +179,7 @@ func TestRequireMetricPresence(t *testing.T) {
 	// (ceilings pass trivially on an empty set).
 	output := `BenchmarkServeLoad/closed/binary/s100 	 12800	 6400 goodput-sps	 2000000 ingest-p99-ns
 `
-	report, err := parse(strings.NewReader(output))
+	report, _, err := parse(strings.NewReader(output))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,5 +212,125 @@ func TestRequireMetricPresence(t *testing.T) {
 	}
 	if err := r.Set("a"); err != nil || r.String() != "a" {
 		t.Errorf("Set: %v, String() = %q", err, r.String())
+	}
+}
+
+// pairedInput renders runs the way scripts/benchpair.sh does: pairs of
+// `side:` blocks, alternating which side goes first. A nil side is left
+// out, as for a benchmark absent from that side's tree.
+func pairedInput(name string, base, cand []float64) string {
+	var b strings.Builder
+	side := func(s string, vals []float64, i int) {
+		fmt.Fprintf(&b, "side: %s\n", s)
+		if vals != nil {
+			fmt.Fprintf(&b, "%s \t 20\t %g ns/op\t %g ns/sample\t 6000 samples/op\t 2 allocs/op\n", name, vals[i]*6000, vals[i])
+		}
+	}
+	for i := range max(len(base), len(cand)) {
+		if i%2 == 0 {
+			side("base", base, i)
+			side("candidate", cand, i)
+		} else {
+			side("candidate", cand, i)
+			side("base", base, i)
+		}
+	}
+	return b.String()
+}
+
+func scaled(x []float64, f float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = v * f
+	}
+	return out
+}
+
+// TestPairedGate pins the paired statistic: each side's fastest run,
+// the bound max(minRegression, the base's fastest-to-lower-quartile
+// spread), and the lost-most-pairs condition.
+func TestPairedGate(t *testing.T) {
+	// Ten runs of a quiet base: fastest 100, lower quartile ~100.7.
+	tight := []float64{103, 100, 101, 112, 100.5, 104, 100.8, 131, 102, 100.2}
+	// A base that was rarely quiet: lower quartile 12% above its fastest.
+	wide := []float64{100, 140, 118, 125, 112, 150, 113, 119, 135, 121}
+	cases := []struct {
+		name       string
+		base, cand []float64
+		wantErr    string // "" passes
+		wantRow    string
+	}{
+		{"identical", tight, tight, "", "ok"},
+		{"10% slower, tight base", tight, scaled(tight, 1.10), "slower than the base", "SLOWER"},
+		{"4% slower, tight base", tight, scaled(tight, 1.04), "", "ok"},
+		{"6% slower, tight base", tight, scaled(tight, 1.06), "slower than the base", "SLOWER"},
+		{"5% slower, wide base", wide, scaled(wide, 1.05), "", "ok"},
+		{"8% slower, tight base", tight, scaled(tight, 1.08), "slower than the base", "SLOWER"},
+		{"8% slower, wide base", wide, scaled(wide, 1.08), "", "ok"},
+		// The candidate's fastest run is 10% slower, but it won half the
+		// pairs: the base was the noisier side, not the candidate slower.
+		{"lost only half",
+			[]float64{100, 120, 101, 125, 100.5, 130, 100.8, 128, 102, 122},
+			[]float64{110, 115, 111, 115, 110.5, 116, 110.8, 118, 112, 116}, "", "ok"},
+		{"missing from base", nil, tight, "", "new: no base"},
+		{"missing from candidate", tight, nil, "missing from the candidate", "MISSING"},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		err := run(nil, strings.NewReader(pairedInput("BenchmarkOnlineTracker", c.base, c.cand)), &out)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: gate failed: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
+		if !strings.Contains(out.String(), c.wantRow) {
+			t.Errorf("%s: table lacks verdict %q:\n%s", c.name, c.wantRow, out.String())
+		}
+	}
+
+	// The report keeps each side's fastest run, and the absolute gates
+	// apply to the candidate's.
+	var out strings.Builder
+	if err := run([]string{"-max", "allocs/sample=0.01"},
+		strings.NewReader(pairedInput("BenchmarkX", tight, tight)), &out); err != nil {
+		t.Fatalf("paired run with a met ceiling: %v", err)
+	}
+	for _, want := range []string{`"base": [`, `"ns/sample": 100,`, `"verdict": "ok"`, `"lost": 0`, `"pairs": 10`} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("paired report lacks %s:\n%s", want, out.String())
+		}
+	}
+	err := run([]string{"-max", "allocs/sample=0.0001"},
+		strings.NewReader(pairedInput("BenchmarkX", tight, tight)), &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "allocs/sample exceeds") {
+		t.Errorf("paired run past an alloc ceiling: err = %v", err)
+	}
+	if err := run(nil, strings.NewReader("side: other\n"), &strings.Builder{}); err == nil {
+		t.Error("unknown side accepted")
+	}
+}
+
+func TestQuantile(t *testing.T) {
+	cases := []struct {
+		x    []float64
+		p    float64
+		want float64
+	}{
+		{[]float64{3, 1, 2}, 0.5, 2},          // odd count: the middle run
+		{[]float64{4, 1, 3, 2}, 0.5, 2.5},     // even count: mean of the middle two
+		{[]float64{5, 1, 4, 2, 3}, 0.25, 2},   // lower quartile on an order statistic
+		{[]float64{4, 1, 3, 2}, 0.25, 1.75},   // and between two
+		{[]float64{7}, 0.25, 7},               // one run
+		{[]float64{2, 2, 2, 2, 2, 2}, 0.5, 2}, // ties
+	}
+	for _, c := range cases {
+		in := slices.Clone(c.x)
+		if got := quantile(c.x, c.p); got != c.want {
+			t.Errorf("quantile(%v, %v) = %v, want %v", c.x, c.p, got, c.want)
+		}
+		if !slices.Equal(in, c.x) {
+			t.Errorf("quantile reordered its input: %v", c.x)
+		}
 	}
 }

@@ -37,6 +37,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -338,15 +340,76 @@ func effectiveRate(sorted []trace.Sample) float64 {
 	if len(dts) == 0 {
 		return 0
 	}
-	sort.Float64s(dts)
-	med := dts[len(dts)/2]
-	if len(dts)%2 == 0 {
-		med = (med + dts[len(dts)/2-1]) / 2
-	}
+	med := median(dts)
 	if med <= 0 {
 		return 0
 	}
 	return 1 / med
+}
+
+// median returns the median of x, reordering x in place. It selects the
+// middle order statistics instead of sorting every value: the upper one
+// by selectNth, the lower one (even lengths) as the largest value left
+// of it. They are the values a full sort would put in the middle, so the
+// result is bit-identical to sorting.
+func median(x []float64) float64 {
+	k := len(x) / 2
+	selectNth(x, k)
+	med := x[k]
+	if len(x)%2 == 0 {
+		med = (med + slices.Max(x[:k])) / 2
+	}
+	return med
+}
+
+// selectNth reorders x so that x[k] holds the value a sort would put
+// there, with no larger value before it and no smaller one after it.
+// It is a quickselect on a median-of-three pivot with a three-way
+// partition, so runs of equal spacings cost one pass. A range still
+// unresolved after 2·log2(len(x)) partitions is sorted outright, so
+// crafted input cannot drive it quadratic.
+func selectNth(x []float64, k int) {
+	lo, hi := 0, len(x)
+	for depth := 2 * bits.Len(uint(len(x))); hi-lo > 1; depth-- {
+		if depth == 0 {
+			slices.Sort(x[lo:hi])
+			return
+		}
+		p := medianOfThree(x[lo], x[lo+(hi-lo)/2], x[hi-1])
+		// [lo,lt) < p, [lt,i) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case x[i] < p:
+				x[lt], x[i] = x[i], x[lt]
+				lt++
+				i++
+			case x[i] > p:
+				gt--
+				x[gt], x[i] = x[i], x[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+}
+
+func medianOfThree(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 func stageDone(h Hooks, stage string, t0 time.Time) {

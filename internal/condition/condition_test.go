@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"ptrack/internal/gaitsim"
@@ -168,6 +169,47 @@ func TestRateDriftDetected(t *testing.T) {
 	}
 	if math.Abs(rep.NominalRate-tr.SampleRate/1.1) > 1 {
 		t.Fatalf("nominal %v, want ~%v", rep.NominalRate, tr.SampleRate/1.1)
+	}
+}
+
+// TestMedianMatchesSort holds the selection-based median to the full
+// sort it replaced, bit for bit, on the input shapes that break naive
+// quickselects: sorted, reversed, all-equal, organ-pipe and few distinct
+// values, at odd and even lengths.
+func TestMedianMatchesSort(t *testing.T) {
+	sortMedian := func(x []float64) float64 {
+		x = append([]float64(nil), x...)
+		sort.Float64s(x)
+		med := x[len(x)/2]
+		if len(x)%2 == 0 {
+			med = (med + x[len(x)/2-1]) / 2
+		}
+		return med
+	}
+	rng := rand.New(rand.NewSource(1))
+	shapes := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"random", func(i, n int) float64 { return rng.Float64() }},
+		{"sorted", func(i, n int) float64 { return float64(i) * 0.01 }},
+		{"reversed", func(i, n int) float64 { return float64(n-i) * 0.01 }},
+		{"all-equal", func(i, n int) float64 { return 0.01 }},
+		{"organ-pipe", func(i, n int) float64 { return float64(min(i, n-1-i)) }},
+		{"few-values", func(i, n int) float64 { return float64(rng.Intn(3)) * 0.005 }},
+		{"jittered", func(i, n int) float64 { return 0.01 + 0.001*rng.NormFloat64() }},
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{1, 2, 3, 4, 7, 8, 63, 64, 1000, 1001} {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = shape.at(i, n)
+			}
+			want := sortMedian(x)
+			if got := median(x); got != want {
+				t.Errorf("%s n=%d: median %v, sorted median %v", shape.name, n, got, want)
+			}
+		}
 	}
 }
 
@@ -371,7 +413,7 @@ func allocatedBytes(f func()) uint64 {
 
 // BenchmarkCondition measures the batch conditioner on a 120 s, 100 Hz
 // walk at fault severity 1 — the full order, rate and resample path.
-// `make bench-condition` prints it, informational only.
+// `make bench-condition` times it against the merge base.
 func BenchmarkCondition(b *testing.B) {
 	tr := gaitsim.InjectFaults(cleanTrace(b, 120), gaitsim.FaultsAtSeverity(1, 1))
 	b.ResetTimer()

@@ -46,8 +46,8 @@ func TestButterworthAttenuation(t *testing.T) {
 	yLow := LowPassButterworth(low, 3, fs)
 	yHigh := LowPassButterworth(high, 3, fs)
 
-	rmsLow := RMS(yLow[n/4:])
-	rmsHigh := RMS(yHigh[n/4:])
+	rmsLow := rms(yLow[n/4:])
+	rmsHigh := rms(yHigh[n/4:])
 	if rmsLow < 0.6 {
 		t.Errorf("in-band 1 Hz over-attenuated: rms %v", rmsLow)
 	}

@@ -34,18 +34,6 @@ func Variance(x []float64) float64 {
 // StdDev returns the population standard deviation of x.
 func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// RMS returns the root-mean-square of x, or 0 for an empty slice.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
-}
-
 // Energy returns the mean squared value of x (signal energy per sample).
 func Energy(x []float64) float64 {
 	if len(x) == 0 {

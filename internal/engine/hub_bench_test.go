@@ -50,8 +50,8 @@ func benchHubPush(b *testing.B, hooks *obs.Hooks, sc tracing.SpanContext) {
 // BenchmarkHubPush is the tracing-overhead guard (see make bench-guard):
 // "off" is the production default — no tracer attached — and must track
 // the raw streaming front end (BENCH_stream.json) within the queue-hop
-// allowance; "sampled" pays for span creation on every block and event
-// and is gated by BENCH_trace.json's ceiling.
+// allowance; "sampled" pays for span creation on every block and event.
+// Both are timed against the merge base (BENCH_trace.json).
 func BenchmarkHubPush(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		benchHubPush(b, nil, tracing.SpanContext{})

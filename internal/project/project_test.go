@@ -114,7 +114,7 @@ func TestProjectWindowNoHorizontalEnergy(t *testing.T) {
 	// (The gravity-estimation residue may leave epsilon energy; accept
 	// either a failed fit or a near-zero anterior series.)
 	if w.OK {
-		if rms := dsp.RMS(w.Anterior); rms > 0.05 {
+		if rms := math.Sqrt(dsp.Energy(w.Anterior)); rms > 0.05 {
 			t.Errorf("anterior rms = %v for vertical-only motion", rms)
 		}
 	}

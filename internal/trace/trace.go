@@ -226,45 +226,3 @@ type Recording struct {
 	Trace *Trace
 	Truth *GroundTruth
 }
-
-// Resample returns a copy of the trace converted to a new sample rate by
-// linear interpolation of every channel. It returns an error for empty
-// traces or non-positive rates. Interpolating the yaw assumes it does not
-// wrap within one sample interval — true for pedestrian turn rates at
-// wearable sampling rates.
-func (tr *Trace) Resample(newRate float64) (*Trace, error) {
-	if tr == nil || len(tr.Samples) == 0 || tr.SampleRate <= 0 {
-		return nil, fmt.Errorf("trace: cannot resample an empty trace")
-	}
-	if newRate <= 0 {
-		return nil, fmt.Errorf("trace: new rate must be positive, got %v", newRate)
-	}
-	duration := tr.Samples[len(tr.Samples)-1].T - tr.Samples[0].T
-	n := int(duration*newRate) + 1
-	out := &Trace{SampleRate: newRate, Label: tr.Label}
-	t0 := tr.Samples[0].T
-	j := 0
-	for i := 0; i < n; i++ {
-		ti := t0 + float64(i)/newRate
-		for j+1 < len(tr.Samples) && tr.Samples[j+1].T <= ti {
-			j++
-		}
-		s := tr.Samples[j]
-		if j+1 < len(tr.Samples) {
-			a, b := tr.Samples[j], tr.Samples[j+1]
-			span := b.T - a.T
-			if span > 0 {
-				f := (ti - a.T) / span
-				s = Sample{
-					T:     ti,
-					Accel: a.Accel.Lerp(b.Accel, f),
-					Gyro:  a.Gyro.Lerp(b.Gyro, f),
-					Yaw:   a.Yaw + f*(b.Yaw-a.Yaw),
-				}
-			}
-		}
-		s.T = ti
-		out.Samples = append(out.Samples, s)
-	}
-	return out, nil
-}

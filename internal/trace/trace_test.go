@@ -210,45 +210,3 @@ func TestGroundTruthJSONErrors(t *testing.T) {
 		t.Error("unknown activity accepted")
 	}
 }
-
-func TestResample(t *testing.T) {
-	tr := makeTrace(100, 101, ActivityWalking) // 1 s of data
-	down, err := tr.Resample(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down.SampleRate != 50 {
-		t.Errorf("rate = %v", down.SampleRate)
-	}
-	if len(down.Samples) < 50 || len(down.Samples) > 52 {
-		t.Errorf("downsampled to %d samples, want ~51", len(down.Samples))
-	}
-	// Linear ramps resample exactly: accel.X was i (slope 100/s).
-	for i, s := range down.Samples {
-		want := float64(i) * 2 // 50 Hz: every other original index
-		if math.Abs(s.Accel.X-want) > 1e-9 {
-			t.Fatalf("sample %d accel.X = %v, want %v", i, s.Accel.X, want)
-		}
-	}
-	up, err := tr.Resample(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(up.Samples) < 200 {
-		t.Errorf("upsampled to %d samples", len(up.Samples))
-	}
-	if up.Label != tr.Label {
-		t.Error("label lost")
-	}
-}
-
-func TestResampleErrors(t *testing.T) {
-	empty := &Trace{SampleRate: 100}
-	if _, err := empty.Resample(50); err == nil {
-		t.Error("empty trace accepted")
-	}
-	tr := makeTrace(100, 10, ActivityWalking)
-	if _, err := tr.Resample(0); err == nil {
-		t.Error("zero rate accepted")
-	}
-}

@@ -12,9 +12,10 @@ import (
 )
 
 // Decode micro-benchmarks, gated by `make bench-guard` through
-// cmd/benchjson: ingest decode must hold its ns/sample ceiling and stay
-// alloc-free at steady state (allocs/op stays O(1) per pass while
-// samples/op is in the thousands, so allocs-per-sample rounds to ~0).
+// cmd/benchjson: ingest decode must not get slower than at the merge
+// base and must stay alloc-free at steady state (allocs/op stays O(1)
+// per pass while samples/op is in the thousands, so allocs-per-sample
+// rounds to ~0).
 // They drive NextBlock in blocks of stream.BlockSamples, as the server
 // does. The payload is a real simulated walking trace — full-precision
 // floats, the worst case for the text format.

@@ -23,7 +23,7 @@
 // NextBlock, and the JSON the server decodes (NDJSON sample lines and
 // /v1/batch bodies) follows one grammar, so both refuse the same
 // things. Decoding is alloc-free at steady state (enforced by
-// TestDecodeAllocFree and the bench-guard ceilings): it scans a
+// TestDecodeAllocFree and the bench-guard allocation ceiling): it scans a
 // reusable buffer and parses numbers without constructing intermediate
 // strings. Floats round-trip exactly — encoders use strconv's shortest
 // form, and decoders convert plain decimals on a fast path that is
